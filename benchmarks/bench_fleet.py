@@ -102,13 +102,12 @@ def test_fleet_throughput(specs, factory, baseline, results_dir):
     for label, kwargs in (
         ("fleet inline + cache", dict(workers=0)),
         ("fleet 4 workers + cache", dict(workers=4)),
-        ("fleet 4 process workers", dict(workers=4, executor="process")),
     ):
         verdicts, wall, metrics = run_fleet(specs, factory, **kwargs)
         assert verdicts == base_verdicts, f"{label}: verdicts diverged"
         assert all(v.accepted for v in verdicts.values())
         speedups[label] = base_rps and (reports / wall) / base_rps
-        rows.append((f"{label} ({metrics.executor})", wall,
+        rows.append((label, wall,
                      reports / wall, speedups[label],
                      f"{metrics.replay_cache_hits}/{SESSIONS}"))
     lines = [f"Fleet verification throughput "

@@ -18,6 +18,10 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, List, Union
 
+#: the 9-byte tagged encoding every record packs to: u8 tag, then two
+#: u32 words (tags: 1 branch, 2 address, 3 loop, 4 speculation token)
+RECORD = struct.Struct("<BII")
+
 
 @dataclass(frozen=True)
 class BranchRecord:
@@ -28,7 +32,7 @@ class BranchRecord:
     size_bytes: int = 8
 
     def pack(self) -> bytes:
-        return struct.pack("<BII", 1, self.key, self.dst)
+        return RECORD.pack(1, self.key, self.dst)
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ class AddressRecord:
     size_bytes: int = 4
 
     def pack(self) -> bytes:
-        return struct.pack("<BII", 2, self.key, self.dst)
+        return RECORD.pack(2, self.key, self.dst)
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class LoopRecord:
     size_bytes: int = 8
 
     def pack(self) -> bytes:
-        return struct.pack("<BII", 3, self.key, self.value & 0xFFFFFFFF)
+        return RECORD.pack(3, self.key, self.value & 0xFFFFFFFF)
 
 
 Record = Union[BranchRecord, AddressRecord, LoopRecord]

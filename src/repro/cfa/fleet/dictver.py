@@ -38,16 +38,15 @@ import hashlib
 import hmac
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.cfa.epochs import EpochRegistry
 from repro.cfa.fleet.verify import DeviceProfile
 from repro.cfa.speccfa import (
     EMPTY_DICTIONARY_DIGEST,
     SubPathDict,
-    dictionary_digest,
     pack_dictionary,
     unpack_dictionary,
 )
@@ -100,56 +99,40 @@ def dack_mac(key: bytes, device_id: str, epoch: int,
         hashlib.sha256).digest()
 
 
-def _profile_key(profile: DeviceProfile) -> str:
-    return f"{profile.workload}__{profile.method}"
-
-
-class DictionaryRegistry:
+class DictionaryRegistry(EpochRegistry[DictEpoch]):
     """Monotone, content-addressed dictionary versions per profile."""
 
+    suffix = ".dict"
+    noun = "dictionary"
+
     def __init__(self, store_dir: Optional[Union[str, os.PathLike]] = None):
-        self._lock = threading.Lock()
-        #: profile -> [DictEpoch for epoch 1..N] (epoch 0 is implicit)
-        self._epochs: Dict[DeviceProfile, List[DictEpoch]] = {}
         #: digest -> DictEpoch, for resolving ACKs
         self._by_digest: Dict[bytes, DictEpoch] = {}
-        self.store_dir = Path(store_dir) if store_dir is not None else None
-        if self.store_dir is not None:
-            self.store_dir.mkdir(parents=True, exist_ok=True)
-            self._load()
+        super().__init__(store_dir)
 
-    # -- persistence ----------------------------------------------------------
+    def _read(self, path: Path) -> DictEpoch:
+        workload, method, epoch_str = path.stem.rsplit("__", 2)
+        payload = path.read_bytes()
+        unpack_dictionary(payload)  # strict: refuse corrupt epochs
+        return DictEpoch(profile=DeviceProfile(workload, method),
+                         epoch=int(epoch_str),
+                         digest=hashlib.sha256(payload).digest(),
+                         payload=payload)
 
-    def _epoch_path(self, profile: DeviceProfile, epoch: int) -> Path:
-        return self.store_dir / f"{_profile_key(profile)}__{epoch:06d}.dict"
+    def _blob(self, entry: DictEpoch) -> bytes:
+        return entry.payload
 
-    def _load(self) -> None:
-        for path in sorted(self.store_dir.glob("*.dict")):
-            workload, method, epoch_str = path.stem.rsplit("__", 2)
-            profile = DeviceProfile(workload, method)
-            payload = path.read_bytes()
-            unpack_dictionary(payload)  # strict: refuse corrupt epochs
-            entry = DictEpoch(
-                profile=profile, epoch=int(epoch_str),
-                digest=hashlib.sha256(payload).digest(), payload=payload)
-            chain = self._epochs.setdefault(profile, [])
-            if entry.epoch != len(chain) + 1:
-                raise ValueError(
-                    f"dictionary store {self.store_dir} has a gap: "
-                    f"{path.name} is epoch {entry.epoch}, expected "
-                    f"{len(chain) + 1}")
-            chain.append(entry)
-            self._by_digest[entry.digest] = entry
+    def _epoch_zero(self, profile: DeviceProfile) -> DictEpoch:
+        return DictEpoch(profile=profile, epoch=0,
+                         digest=EMPTY_DICTIONARY_DIGEST,
+                         payload=pack_dictionary({}))
 
-    def _persist(self, entry: DictEpoch) -> None:
-        if self.store_dir is None:
-            return
-        path = self._epoch_path(entry.profile, entry.epoch)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(entry.payload)
-        os.replace(tmp, path)
+    def _content(self, entry: DictEpoch) -> bytes:
+        return entry.digest
 
-    # -- the registry surface -------------------------------------------------
+    def _admit(self, entry: DictEpoch) -> None:
+        super()._admit(entry)
+        self._by_digest[entry.digest] = entry
 
     def publish(self, profile: DeviceProfile,
                 dictionary: SubPathDict) -> DictEpoch:
@@ -163,40 +146,8 @@ class DictionaryRegistry:
             return self.get(profile, 0)
         payload = pack_dictionary(dictionary)
         digest = hashlib.sha256(payload).digest()
-        with self._lock:
-            chain = self._epochs.setdefault(profile, [])
-            if chain and chain[-1].digest == digest:
-                return chain[-1]
-            entry = DictEpoch(profile=profile, epoch=len(chain) + 1,
-                              digest=digest, payload=payload)
-            self._persist(entry)
-            chain.append(entry)
-            self._by_digest[digest] = entry
-            return entry
-
-    def get(self, profile: DeviceProfile, epoch: int) -> DictEpoch:
-        """Resolve ``(profile, epoch)``; epoch 0 always resolves."""
-        if epoch == 0:
-            return DictEpoch(profile=profile, epoch=0,
-                             digest=EMPTY_DICTIONARY_DIGEST,
-                             payload=pack_dictionary({}))
-        with self._lock:
-            chain = self._epochs.get(profile, [])
-            if not 1 <= epoch <= len(chain):
-                raise KeyError(
-                    f"profile {profile} has no dictionary epoch {epoch}")
-            return chain[epoch - 1]
-
-    def latest(self, profile: DeviceProfile) -> DictEpoch:
-        with self._lock:
-            chain = self._epochs.get(profile, [])
-            if chain:
-                return chain[-1]
-        return self.get(profile, 0)
-
-    def latest_epoch(self, profile: DeviceProfile) -> int:
-        with self._lock:
-            return len(self._epochs.get(profile, []))
+        return self._publish(profile, lambda epoch: DictEpoch(
+            profile=profile, epoch=epoch, digest=digest, payload=payload))
 
     def find(self, digest: bytes) -> Optional[DictEpoch]:
         """Resolve a content digest back to its epoch (ACK ingest)."""

@@ -45,7 +45,6 @@ class FleetMetrics:
     queue_depth: int = 0
     queue_depth_max: int = 0
     workers: int = 0
-    executor: str = "inline"
     replay_cache_hits: int = 0
     replay_cache_misses: int = 0
     wall_s: float = 0.0
@@ -105,7 +104,7 @@ class FleetMetrics:
             f"({self.bytes_ingested} B, {self.duplicates_dropped} dup, "
             f"{self.reports_ignored} ignored) "
             f"at {self.reports_per_second:.0f} rps, "
-            f"workers={self.workers} ({self.executor}), "
+            f"workers={self.workers}, "
             f"verify p50/p95/p99 {pct['p50'] * 1e3:.1f}/"
             f"{pct['p95'] * 1e3:.1f}/{pct['p99'] * 1e3:.1f} ms, "
             f"queue depth max {self.queue_depth_max}, "
@@ -183,8 +182,6 @@ def aggregate_metrics(per_shard: Sequence[FleetMetrics],
         total.heals_failed += m.heals_failed
         total.rejoins += m.rejoins
         total.revocations += m.revocations
-    executors = {m.executor for m in per_shard}
-    total.executor = executors.pop() if len(executors) == 1 else "mixed"
     total.wall_s = wall_s or max(
         (m.wall_s for m in per_shard), default=0.0)
     total.recovery_s = recovery_s

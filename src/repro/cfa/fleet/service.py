@@ -12,14 +12,10 @@ sessions over the wire codec. The split of responsibilities:
   executes the same :func:`~repro.cfa.fleet.verify.verify_session_chain`
   primitive, so verdicts are identical by construction.
 
-The pool flavour is selectable (``executor=``): ``"process"`` uses a
-``ProcessPoolExecutor`` for real multi-core parallelism but pays a
-per-session pickle/IPC toll that only extra cores can amortize;
-``"thread"`` uses a ``ThreadPoolExecutor``, which shares the replay
-cache and the in-process artifact memo and overlaps the GIL-releasing
-HMAC work, at near-zero dispatch cost. The default ``"auto"`` picks
-threads on a single-core host (where process workers are pure
-overhead) and processes otherwise.
+The pool is a ``ProcessPoolExecutor``: real multi-core parallelism,
+at a per-session pickle/IPC toll that only extra cores amortize.
+Inline verification shares the replay cache and the in-process
+artifact memo, and is the faster choice on a single core.
 
 **Backpressure**: at most ``max_pending`` chains may be in flight to
 the pool; when the bound is hit, ``submit`` of a chain-completing
@@ -36,15 +32,9 @@ deterministic; only the performance metrics touch the wall clock.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ProcessPoolExecutor
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -68,7 +58,6 @@ from repro.cfa.fleet.verify import (
     DeviceProfile,
     ReplayCache,
     SessionVerdict,
-    local_verify,
     pool_verify,
     verify_session_chain,
 )
@@ -112,7 +101,6 @@ class FleetService:
                  max_sessions: Optional[int] = None,
                  max_pending: Optional[int] = None,
                  replay_cache: Union[bool, ReplayCache] = True,
-                 executor: str = "auto",
                  store: Optional[EvidenceStore] = None,
                  nonce_scope: str = "counter",
                  registry: Optional[DictionaryRegistry] = None,
@@ -164,29 +152,17 @@ class FleetService:
         #: durable evidence log; when set, every verdict is fsync'd
         #: into the hash chain *before* it is released
         self.store = store
-        if executor == "auto":
-            executor = "thread" if (os.cpu_count() or 1) <= 1 else "process"
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
-        self.executor = executor
-        self.metrics = FleetMetrics(
-            workers=self.workers,
-            executor=executor if self.workers > 1 else "inline")
+        self.metrics = FleetMetrics(workers=self.workers)
         self.verdicts: Dict[str, SessionVerdict] = {}
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._inflight = 0
         self._worker_hits = 0    # process-pool cache deltas (remote caches)
         self._worker_misses = 0
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._slots: Optional[threading.BoundedSemaphore] = None
         if self.workers > 1:
-            if executor == "process":
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="fleet-verify")
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
             self._slots = threading.BoundedSemaphore(
                 max_pending or 4 * self.workers)
         self._started = time.perf_counter()
@@ -600,14 +576,13 @@ class FleetService:
         chunks = tuple(session.chunks)
         args = (session.device_id, session.profile, session.key,
                 session.bound_challenge, chunks)
-        reports = tuple(session.reports)
         dictionary = session.dictionary
         if self._pool is None:
             t0 = time.perf_counter()
             info: Dict[str, bool] = {}
             verdict = verify_session_chain(
-                *args, cache=self._cache, reports=reports, info=info,
-                dictionary=dictionary)
+                *args, cache=self._cache, reports=tuple(session.reports),
+                info=info, dictionary=dictionary)
             self._record(session, verdict, time.perf_counter() - t0,
                          cache_hit=info.get("cache_hit", False))
             return
@@ -618,19 +593,13 @@ class FleetService:
             self.metrics.queue_depth_max = max(
                 self.metrics.queue_depth_max, self.metrics.queue_depth)
         t0 = time.perf_counter()
-        info = {}
-        if self.executor == "process":
-            # bytes cross the process boundary; the worker decodes
-            future = self._pool.submit(
-                pool_verify, *args, self.use_replay_cache, dictionary)
-        else:
-            future = self._pool.submit(
-                local_verify, args, self._cache, reports, info,
-                dictionary)
+        # bytes cross the process boundary; the worker decodes
+        future = self._pool.submit(
+            pool_verify, *args, self.use_replay_cache, dictionary)
         future.add_done_callback(
-            lambda fut: self._harvest(session, t0, info, fut))
+            lambda fut: self._harvest(session, t0, fut))
 
-    def _harvest(self, session: Session, t0: float, info: dict,
+    def _harvest(self, session: Session, t0: float,
                  future: Future) -> None:
         self._slots.release()
         hits = misses = 0
@@ -642,9 +611,8 @@ class FleetService:
                 accepted=False,
                 reason=f"verifier worker failed: "
                        f"{type(exc).__name__}: {exc}")
-        # process workers report the hit as a counter delta; thread
-        # workers filled the shared info dict before the future resolved
-        cache_hit = bool(info.get("cache_hit", False) or hits > 0)
+        # process workers report the hit as a counter delta
+        cache_hit = hits > 0
         with self._lock:
             self.metrics.queue_depth -= 1
             self._inflight -= 1

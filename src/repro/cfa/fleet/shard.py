@@ -154,7 +154,6 @@ class ShardedFleetService:
                  store_dir: Optional[Union[str, os.PathLike]] = None,
                  seed: bytes = b"fleet-vrf",
                  workers: int = 0,
-                 executor: str = "auto",
                  idle_timeout: float = 30.0,
                  reorder_window: int = 8,
                  max_attempts: int = 2,
@@ -212,7 +211,7 @@ class ShardedFleetService:
                 workers=workers, seed=seed, idle_timeout=idle_timeout,
                 reorder_window=reorder_window, max_attempts=max_attempts,
                 max_sessions=max_sessions, replay_cache=cache,
-                executor=executor, store=store, nonce_scope="device",
+                store=store, nonce_scope="device",
                 registry=self.registry, sampler=sampler,
                 policy=self.policy, key_lookup=key_lookup,
                 bounds=bounds)

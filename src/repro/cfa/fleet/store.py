@@ -80,6 +80,7 @@ from repro.cfa.fleet.verify import (
     SessionVerdict,
     _ReplaySummary,
 )
+from repro.codec import Reader, Writer
 from repro.eval.cache import ArtifactCache
 
 EVIDENCE_MAGIC = b"EVD1"
@@ -120,45 +121,8 @@ def chain_digest(chunks: Sequence[bytes]) -> bytes:
     return h.digest()
 
 
-def _lp(data: bytes) -> bytes:
-    return struct.pack("<I", len(data)) + data
-
-
-class _Reader:
-    """Bounded little-endian reader (the wire-codec idiom)."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise EvidenceError("truncated evidence body")
-        out = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def lp_bytes(self) -> bytes:
-        return self.take(self.u32())
-
-    def lp_str(self) -> str:
-        try:
-            return self.lp_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EvidenceError(f"non-UTF-8 evidence field: {exc}") from None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
+def _reader(body: bytes) -> Reader:
+    return Reader(body, EvidenceError, "evidence body")
 
 
 @dataclass(frozen=True)
@@ -273,60 +237,40 @@ def _encode_body(verdict: SessionVerdict, challenge: bytes,
         raise EvidenceError(
             "version-1 evidence logs cannot record dictionary epochs; "
             "migrate to a fresh store")
-    parts = []
+    out = Writer(EvidenceError)
     if version >= 3:
-        parts.append(struct.pack("<B", KIND_SESSION))
-    parts += [
-        _lp(verdict.device_id.encode()),
-        _lp(verdict.profile.workload.encode()),
-        _lp(verdict.profile.method.encode()),
-        _lp(challenge),
-        chain,
-    ]
+        out.u8(KIND_SESSION)
+    out.lp(verdict.device_id).lp(verdict.profile.workload)
+    out.lp(verdict.profile.method).lp(challenge).raw(chain)
     if version >= 2:
-        parts.append(struct.pack("<I", epoch))
-    parts += [
-        struct.pack("<B", flags),
-        _lp(verdict.reason.encode()),
-        struct.pack("<III", verdict.reports, verdict.records,
-                    verdict.path_len),
-        _lp(verdict.path_digest.encode()),
-    ]
+        out.u32(epoch)
+    out.u8(flags).lp(verdict.reason).u32(verdict.reports)
+    out.u32(verdict.records).u32(verdict.path_len).lp(verdict.path_digest)
     if version >= 2:
-        parts.append(_lp(verdict.records_digest.encode()))
-    parts.append(struct.pack("<H", len(verdict.violations)))
+        out.lp(verdict.records_digest)
+    out.u16(len(verdict.violations))
     for kind, address, detail in verdict.violations:
-        parts.append(_lp(kind.encode()))
-        parts.append(struct.pack("<I", address & 0xFFFFFFFF))
-        parts.append(_lp(detail.encode()))
+        out.lp(kind).u32(address & 0xFFFFFFFF).lp(detail)
     if version >= 3:
-        parts.append(_lp(measurement))
-    parts.append(struct.pack("<I", seq))
-    return b"".join(parts)
+        out.lp(measurement)
+    return out.u32(seq).getvalue()
 
 
 def _encode_policy_body(decision, seq: int) -> bytes:
     """Serialize one policy decision (duck-typed: any object carrying
     the :class:`~repro.cfa.policy.engine.PolicyDecision` fields)."""
-    return b"".join([
-        struct.pack("<B", KIND_POLICY),
-        _lp(decision.device_id.encode()),
-        _lp(decision.workload.encode()),
-        _lp(decision.method.encode()),
-        struct.pack("<BB", decision.from_state, decision.to_state),
-        _lp(decision.action.encode()),
-        _lp(decision.reason.encode()),
-        struct.pack("<III", decision.score, decision.heal_attempt,
-                    decision.policy_epoch),
-        _lp(decision.measurement),
-        struct.pack("<I", seq),
-    ])
+    return (Writer(EvidenceError).u8(KIND_POLICY).lp(decision.device_id)
+            .lp(decision.workload).lp(decision.method)
+            .u8(decision.from_state).u8(decision.to_state)
+            .lp(decision.action).lp(decision.reason).u32(decision.score)
+            .u32(decision.heal_attempt).u32(decision.policy_epoch)
+            .lp(decision.measurement).u32(seq).getvalue())
 
 
 def _decode_body(body: bytes, prev_digest: bytes, mac: bytes,
                  version: int = EVIDENCE_VERSION
                  ) -> Union[EvidenceRecord, "PolicyRecord"]:
-    reader = _Reader(body)
+    reader = _reader(body)
     if version >= 3:
         kind = reader.u8()
         if kind == KIND_POLICY:
@@ -341,20 +285,14 @@ def _decode_body(body: bytes, prev_digest: bytes, mac: bytes,
     epoch = reader.u32() if version >= 2 else 0
     flags = reader.u8()
     reason = reader.lp_str()
-    reports, records, path_len = struct.unpack("<III", reader.take(12))
+    reports, records, path_len = reader.u32(), reader.u32(), reader.u32()
     path_digest = reader.lp_str()
     records_digest = reader.lp_str() if version >= 2 else ""
-    n_violations = reader.u16()
-    violations = []
-    for _ in range(n_violations):
-        kind = reader.lp_str()
-        address = reader.u32()
-        detail = reader.lp_str()
-        violations.append((kind, address, detail))
+    violations = tuple((reader.lp_str(), reader.u32(), reader.lp_str())
+                       for _ in range(reader.u16()))
     measurement = reader.lp_bytes() if version >= 3 else b""
     seq = reader.u32()
-    if not reader.exhausted:
-        raise EvidenceError("trailing bytes inside evidence body")
+    reader.done("trailing bytes inside evidence body")
     return EvidenceRecord(
         device_id=device_id, workload=workload, method=method,
         challenge=challenge, chain_digest=chain, epoch=epoch,
@@ -366,7 +304,7 @@ def _decode_body(body: bytes, prev_digest: bytes, mac: bytes,
         reason=reason, reports=reports, records=records,
         path_len=path_len, path_digest=path_digest,
         records_digest=records_digest,
-        violations=tuple(violations), seq=seq,
+        violations=violations, seq=seq,
         prev_digest=prev_digest, mac=mac,
         digest=hashlib.sha256(prev_digest + body + mac).digest(),
         measurement=measurement,
@@ -374,20 +312,19 @@ def _decode_body(body: bytes, prev_digest: bytes, mac: bytes,
     )
 
 
-def _decode_policy_body(reader: _Reader, body: bytes,
+def _decode_policy_body(reader: Reader, body: bytes,
                         prev_digest: bytes, mac: bytes) -> PolicyRecord:
     device_id = reader.lp_str()
     workload = reader.lp_str()
     method = reader.lp_str()
-    from_state, to_state = struct.unpack("<BB", reader.take(2))
+    from_state, to_state = reader.u8(), reader.u8()
     action = reader.lp_str()
     reason = reader.lp_str()
-    score, heal_attempt, policy_epoch = struct.unpack(
-        "<III", reader.take(12))
+    score, heal_attempt = reader.u32(), reader.u32()
+    policy_epoch = reader.u32()
     measurement = reader.lp_bytes()
     seq = reader.u32()
-    if not reader.exhausted:
-        raise EvidenceError("trailing bytes inside policy record body")
+    reader.done("trailing bytes inside policy record body")
     return PolicyRecord(
         device_id=device_id, workload=workload, method=method,
         from_state=from_state, to_state=to_state, action=action,
@@ -416,31 +353,25 @@ def _parse(data: bytes, key: bytes
     damage anywhere else is tamper.
     """
     if len(data) < _HEADER_LEN:
-        if not data:
-            return [], 0, None
-        return [], 0, "torn file header"
-    if data[:4] != EVIDENCE_MAGIC:
-        raise EvidenceError("bad evidence magic")
-    version = data[4]
-    if version not in SUPPORTED_VERSIONS:
-        raise EvidenceError(f"unsupported evidence version {version}")
-    pos = _HEADER_LEN
+        return [], 0, "torn file header" if data else None
+    reader = Reader(data, EvidenceError, "evidence")
+    version = reader.header(EVIDENCE_MAGIC, "evidence", *SUPPORTED_VERSIONS)
     heads: Dict[str, Tuple[int, bytes]] = {}
-    records: List[EvidenceRecord] = []
-    while pos < len(data):
-        if pos + 4 > len(data):
+    records: List[Union[EvidenceRecord, PolicyRecord]] = []
+    while not reader.exhausted:
+        pos = reader.pos
+        present = len(data) - pos - 4
+        if present < 0:
             return records, pos, "torn frame length"
-        (frame_len,) = struct.unpack("<I", data[pos:pos + 4])
+        frame_len = reader.u32()
         if frame_len < _MIN_FRAME:
             raise EvidenceError(f"frame at {pos} too short ({frame_len} B)")
-        if pos + 4 + frame_len > len(data):
+        if frame_len > present:
             return records, pos, (
-                f"torn frame at {pos} ({len(data) - pos - 4}/"
-                f"{frame_len} B present)")
-        frame = data[pos + 4:pos + 4 + frame_len]
-        prev_digest = frame[:_DIGEST_LEN]
-        mac = frame[_DIGEST_LEN:2 * _DIGEST_LEN]
-        body = frame[2 * _DIGEST_LEN:]
+                f"torn frame at {pos} ({present}/{frame_len} B present)")
+        prev_digest = reader.take(_DIGEST_LEN)
+        mac = reader.take(_DIGEST_LEN)
+        body = reader.take(frame_len - _MIN_FRAME)
         if not hmac.compare_digest(mac, _record_mac(key, prev_digest, body)):
             raise EvidenceError(f"MAC mismatch on frame at {pos}")
         record = _decode_body(body, prev_digest, mac, version)
@@ -455,8 +386,7 @@ def _parse(data: bytes, key: bytes
                 f"#{record.seq}")
         heads[record.device_id] = (seq + 1, record.digest)
         records.append(record)
-        pos += 4 + frame_len
-    return records, pos, None
+    return records, reader.pos, None
 
 
 def verify_evidence_trail(path: Union[str, os.PathLike],
@@ -518,8 +448,7 @@ class EvidenceStore:
                     fh.truncate(good)
         self._fh = open(self.path, "ab")
         if self._fh.tell() == 0:
-            self._fh.write(
-                EVIDENCE_MAGIC + struct.pack("<B", self.version))
+            self._fh.write(EVIDENCE_MAGIC + bytes([self.version]))
             self._fh.flush()
             if self.fsync_enabled:
                 self._fsync(self._fh.fileno())
@@ -580,7 +509,7 @@ class EvidenceStore:
         mac = _record_mac(self.key, prev_digest, body)
         frame = prev_digest + mac + body
         try:
-            self._fh.write(struct.pack("<I", len(frame)) + frame)
+            self._fh.write(Writer(EvidenceError).lp(frame).getvalue())
             self._fh.flush()
             if self.fsync_enabled:
                 self._fsync(self._fh.fileno())

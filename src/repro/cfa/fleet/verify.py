@@ -106,7 +106,7 @@ class ReplayCache:
 
     def __init__(self):
         self._entries: Dict[Tuple[DeviceProfile, bytes], _ReplaySummary] = {}
-        self._lock = threading.Lock()  # shared by thread-pool workers
+        self._lock = threading.Lock()  # inline callers may share it
         self.hits = 0
         self.misses = 0
 
@@ -131,11 +131,20 @@ class ReplayCache:
             self._entries[(profile, key)] = entry
 
 
+#: most violations a verdict carries — the first ones, in replay order.
+#: A compromised app can drive replay to any number of violations, and
+#: EVD1 counts them in a u16: the cap keeps every verdict persistable
+#: (and its evidence record bounded) while ``records`` still tells
+#: how long the rejected stream was
+MAX_VERDICT_VIOLATIONS = 1024
+
+
 def _summarize(outcome) -> _ReplaySummary:
     return _ReplaySummary(
         lossless=outcome.lossless,
         violations=tuple(
-            (v.kind, v.address, v.detail) for v in outcome.violations),
+            (v.kind, v.address, v.detail)
+            for v in outcome.violations[:MAX_VERDICT_VIOLATIONS]),
         error=outcome.error or "",
         consumed=outcome.consumed,
         path_len=len(outcome.path),
@@ -280,15 +289,3 @@ def pool_verify(device_id: str, profile: DeviceProfile, key: bytes,
     return (verdict, _WORKER_CACHE.hits - hits0,
             _WORKER_CACHE.misses - misses0)
 
-
-def local_verify(args: tuple, cache: Optional[ReplayCache],
-                 reports: Optional[Sequence] = None,
-                 info: Optional[dict] = None,
-                 dictionary: Optional[SubPathDict] = None
-                 ) -> Tuple[SessionVerdict, int, int]:
-    """Thread-pool entry point: shares the service's cache in-process
-    (cache deltas ride the shared object, so none are reported here;
-    the caller's ``info`` dict rides along for the cache-hit flag)."""
-    return verify_session_chain(
-        *args, cache=cache, reports=reports, info=info,
-        dictionary=dictionary), 0, 0

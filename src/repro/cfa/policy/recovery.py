@@ -22,11 +22,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Union
 
 from repro.cfa.fleet.store import verify_evidence_trail
-from repro.cfa.policy.engine import PolicyEngine, STATE_NAMES
+from repro.cfa.policy.engine import PolicyEngine
 from repro.cfa.policy.registry import PolicyRegistry, policy_key
+from repro.codec import atomic_write
 
 #: the manifest is versioned so auditors can detect procedure drift
 MANIFEST_VERSION = 1
@@ -179,7 +180,5 @@ def write_recovery_manifest(
     """Write (or refresh) ``RECOVERY.md`` beside the evidence logs."""
     path = Path(store_dir) / "RECOVERY.md"
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(_MANIFEST.format(version=MANIFEST_VERSION))
-    os.replace(tmp, path)
+    atomic_write(path, _MANIFEST.format(version=MANIFEST_VERSION).encode())
     return path

@@ -30,13 +30,13 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
+from repro.cfa.epochs import EpochRegistry
 from repro.cfa.fleet.verify import DeviceProfile
+from repro.codec import Reader, Writer
 
 POLICY_MAGIC = b"FWP1"
 POLICY_VERSION = 1
@@ -58,84 +58,32 @@ def policy_key(seed: bytes) -> bytes:
     return hashlib.sha256(b"policy-sign|" + seed).digest()
 
 
-def _lp(data: bytes) -> bytes:
-    return struct.pack("<I", len(data)) + data
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise PolicyError("truncated policy document")
-        out = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def lp_bytes(self) -> bytes:
-        return self.take(self.u32())
-
-    def lp_str(self) -> str:
-        try:
-            return self.lp_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise PolicyError(f"non-UTF-8 policy field: {exc}") from None
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
-
-
 def pack_policy(profile: DeviceProfile, epoch: int, pinned: bytes,
                 allowed: Tuple[bytes, ...],
                 revoked: Tuple[bytes, ...]) -> bytes:
     """Canonical serialization of one policy document (the MAC input)."""
-    parts = [
-        POLICY_MAGIC,
-        struct.pack("<B", POLICY_VERSION),
-        _lp(profile.workload.encode()),
-        _lp(profile.method.encode()),
-        struct.pack("<I", epoch),
-        _lp(pinned),
-        struct.pack("<H", len(allowed)),
-    ]
-    for measurement in allowed:
-        parts.append(_lp(measurement))
-    parts.append(struct.pack("<H", len(revoked)))
-    for measurement in revoked:
-        parts.append(_lp(measurement))
-    return b"".join(parts)
+    out = Writer(PolicyError).raw(POLICY_MAGIC).u8(POLICY_VERSION)
+    out.lp(profile.workload).lp(profile.method).u32(epoch).lp(pinned)
+    for measurements in (allowed, revoked):
+        out.u16(len(measurements))
+        for measurement in measurements:
+            out.lp(measurement)
+    return out.getvalue()
 
 
 def unpack_policy(payload: bytes
                   ) -> Tuple[DeviceProfile, int, bytes,
                              Tuple[bytes, ...], Tuple[bytes, ...]]:
     """Strictly parse one canonical policy document."""
-    reader = _Reader(payload)
-    if reader.take(4) != POLICY_MAGIC:
-        raise PolicyError("bad policy document magic")
-    version = reader.u8()
-    if version != POLICY_VERSION:
-        raise PolicyError(f"unsupported policy document version {version}")
+    reader = Reader(payload, PolicyError, "policy document")
+    reader.header(POLICY_MAGIC, "policy document", POLICY_VERSION)
     workload = reader.lp_str()
     method = reader.lp_str()
     epoch = reader.u32()
     pinned = reader.lp_bytes()
     allowed = tuple(reader.lp_bytes() for _ in range(reader.u16()))
     revoked = tuple(reader.lp_bytes() for _ in range(reader.u16()))
-    if not reader.exhausted:
-        raise PolicyError("trailing bytes after policy document")
+    reader.done("trailing bytes after policy document")
     return DeviceProfile(workload, method), epoch, pinned, allowed, revoked
 
 
@@ -157,62 +105,45 @@ class PolicyDoc:
         return self.epoch == 0
 
 
-def _profile_key(profile: DeviceProfile) -> str:
-    return f"{profile.workload}__{profile.method}"
-
-
-class PolicyRegistry:
+class PolicyRegistry(EpochRegistry[PolicyDoc]):
     """Monotone, content-addressed, MAC'd policy versions per profile."""
+
+    suffix = ".pol"
+    noun = "policy"
+    error = PolicyError
 
     def __init__(self, key: bytes,
                  store_dir: Optional[Union[str, os.PathLike]] = None):
         self.key = key
-        self._lock = threading.Lock()
-        #: profile -> [PolicyDoc for epoch 1..N] (epoch 0 is implicit)
-        self._epochs: Dict[DeviceProfile, List[PolicyDoc]] = {}
-        self.store_dir = Path(store_dir) if store_dir is not None else None
-        if self.store_dir is not None:
-            self.store_dir.mkdir(parents=True, exist_ok=True)
-            self._load()
+        super().__init__(store_dir)
 
-    # -- persistence ----------------------------------------------------------
+    def _doc(self, payload: bytes) -> PolicyDoc:
+        profile, epoch, pinned, allowed, revoked = unpack_policy(payload)
+        return PolicyDoc(
+            profile=profile, epoch=epoch, pinned=pinned, allowed=allowed,
+            revoked=revoked, payload=payload,
+            digest=hashlib.sha256(payload).digest(),
+            mac=hmac.new(self.key, payload, hashlib.sha256).digest())
 
-    def _epoch_path(self, profile: DeviceProfile, epoch: int) -> Path:
-        return self.store_dir / f"{_profile_key(profile)}__{epoch:06d}.pol"
+    def _read(self, path: Path) -> PolicyDoc:
+        blob = path.read_bytes()
+        if len(blob) < _MAC_LEN:
+            raise PolicyError(f"policy file {path.name} too short")
+        payload, mac = blob[:-_MAC_LEN], blob[-_MAC_LEN:]
+        if not hmac.compare_digest(
+                mac, hmac.new(self.key, payload, hashlib.sha256).digest()):
+            raise PolicyError(
+                f"policy file {path.name} failed MAC verification")
+        return self._doc(payload)
 
-    def _load(self) -> None:
-        for path in sorted(self.store_dir.glob("*.pol")):
-            blob = path.read_bytes()
-            if len(blob) < _MAC_LEN:
-                raise PolicyError(f"policy file {path.name} too short")
-            payload, mac = blob[:-_MAC_LEN], blob[-_MAC_LEN:]
-            if not hmac.compare_digest(
-                    mac, hmac.new(self.key, payload,
-                                  hashlib.sha256).digest()):
-                raise PolicyError(
-                    f"policy file {path.name} failed MAC verification")
-            profile, epoch, pinned, allowed, revoked = unpack_policy(payload)
-            doc = PolicyDoc(
-                profile=profile, epoch=epoch, pinned=pinned,
-                allowed=allowed, revoked=revoked, payload=payload,
-                digest=hashlib.sha256(payload).digest(), mac=mac)
-            chain = self._epochs.setdefault(profile, [])
-            if doc.epoch != len(chain) + 1:
-                raise PolicyError(
-                    f"policy store {self.store_dir} has a gap: "
-                    f"{path.name} is epoch {doc.epoch}, expected "
-                    f"{len(chain) + 1}")
-            chain.append(doc)
+    def _blob(self, entry: PolicyDoc) -> bytes:
+        return entry.payload + entry.mac
 
-    def _persist(self, doc: PolicyDoc) -> None:
-        if self.store_dir is None:
-            return
-        path = self._epoch_path(doc.profile, doc.epoch)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(doc.payload + doc.mac)
-        os.replace(tmp, path)
+    def _epoch_zero(self, profile: DeviceProfile) -> PolicyDoc:
+        return self._doc(pack_policy(profile, 0, b"", (), ()))
 
-    # -- the registry surface -------------------------------------------------
+    def _content(self, entry: PolicyDoc) -> tuple:
+        return entry.pinned, entry.allowed, entry.revoked
 
     def publish(self, profile: DeviceProfile, pinned: bytes,
                 allowed: Tuple[bytes, ...] = (),
@@ -228,24 +159,8 @@ class PolicyRegistry:
             raise PolicyError("pinned measurement cannot be revoked")
         full_allowed = tuple(sorted({pinned, *allowed} - set(revoked)))
         revoked = tuple(sorted(set(revoked)))
-        with self._lock:
-            chain = self._epochs.setdefault(profile, [])
-            epoch = len(chain) + 1
-            payload = pack_policy(profile, epoch, pinned, full_allowed,
-                                  revoked)
-            if chain:
-                latest = chain[-1]
-                if (latest.pinned, latest.allowed,
-                        latest.revoked) == (pinned, full_allowed, revoked):
-                    return latest
-            doc = PolicyDoc(
-                profile=profile, epoch=epoch, pinned=pinned,
-                allowed=full_allowed, revoked=revoked, payload=payload,
-                digest=hashlib.sha256(payload).digest(),
-                mac=hmac.new(self.key, payload, hashlib.sha256).digest())
-            self._persist(doc)
-            chain.append(doc)
-            return doc
+        return self._publish(profile, lambda epoch: self._doc(pack_policy(
+            profile, epoch, pinned, full_allowed, revoked)))
 
     def revoke(self, profile: DeviceProfile,
                measurement: bytes) -> PolicyDoc:
@@ -264,34 +179,6 @@ class PolicyRegistry:
             profile, latest.pinned,
             allowed=tuple(m for m in latest.allowed if m != measurement),
             revoked=tuple(sorted({*latest.revoked, measurement})))
-
-    def get(self, profile: DeviceProfile, epoch: int) -> PolicyDoc:
-        """Resolve ``(profile, epoch)``; epoch 0 always resolves to the
-        permissive document."""
-        if epoch == 0:
-            payload = pack_policy(profile, 0, b"", (), ())
-            return PolicyDoc(
-                profile=profile, epoch=0, pinned=b"", allowed=(),
-                revoked=(), payload=payload,
-                digest=hashlib.sha256(payload).digest(),
-                mac=hmac.new(self.key, payload, hashlib.sha256).digest())
-        with self._lock:
-            chain = self._epochs.get(profile, [])
-            if not 1 <= epoch <= len(chain):
-                raise KeyError(
-                    f"profile {profile} has no policy epoch {epoch}")
-            return chain[epoch - 1]
-
-    def latest(self, profile: DeviceProfile) -> PolicyDoc:
-        with self._lock:
-            chain = self._epochs.get(profile, [])
-            if chain:
-                return chain[-1]
-        return self.get(profile, 0)
-
-    def latest_epoch(self, profile: DeviceProfile) -> int:
-        with self._lock:
-            return len(self._epochs.get(profile, []))
 
     def profiles(self) -> List[DeviceProfile]:
         with self._lock:

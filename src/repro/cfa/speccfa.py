@@ -22,12 +22,12 @@ This module implements the core of that idea over our record streams:
 from __future__ import annotations
 
 import hashlib
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.cfa.cflog import (
+    RECORD,
     AddressRecord,
     BranchRecord,
     CFLog,
@@ -36,6 +36,7 @@ from repro.cfa.cflog import (
 )
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.verifier import VerificationResult, Verifier
+from repro.codec import Reader, Writer
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class SpecRecord:
     size_bytes: int = 4
 
     def pack(self) -> bytes:
-        return struct.pack("<BII", 4, self.path_id, self.count)
+        return RECORD.pack(4, self.path_id, self.count)
 
 
 #: a dictionary of speculated sub-paths: id -> record tuple
@@ -80,51 +81,38 @@ _PATTERN_RECORDS = {
 
 def pack_dictionary(dictionary: SubPathDict) -> bytes:
     """Canonical serialization of a speculation dictionary."""
-    parts = [DICTIONARY_MAGIC, struct.pack("<I", len(dictionary))]
+    out = Writer(ValueError).raw(DICTIONARY_MAGIC).u32(len(dictionary))
     for path_id in sorted(dictionary):
         pattern = dictionary[path_id]
         if not pattern:
             raise ValueError(f"sub-path {path_id} is empty")
-        parts.append(struct.pack("<IH", path_id, len(pattern)))
+        out.u32(path_id).u16(len(pattern))
         for record in pattern:
             if isinstance(record, SpecRecord):
                 raise ValueError("sub-paths cannot nest speculation tokens")
-            parts.append(record.pack())
-    return b"".join(parts)
+            out.raw(record.pack())
+    return out.getvalue()
 
 
 def unpack_dictionary(payload: bytes) -> SubPathDict:
     """Invert :func:`pack_dictionary`; strict (raises ``ValueError``)."""
-    if payload[:4] != DICTIONARY_MAGIC:
-        raise ValueError("bad dictionary magic")
-    pos = 4
-    if pos + 4 > len(payload):
-        raise ValueError("truncated dictionary header")
-    (n_paths,) = struct.unpack_from("<I", payload, pos)
-    pos += 4
+    reader = Reader(payload, ValueError, "dictionary")
+    reader.header(DICTIONARY_MAGIC, "dictionary")
     dictionary: SubPathDict = {}
-    for _ in range(n_paths):
-        if pos + 6 > len(payload):
-            raise ValueError("truncated sub-path header")
-        path_id, n_records = struct.unpack_from("<IH", payload, pos)
-        pos += 6
+    for _ in range(reader.u32()):
+        path_id, n_records = reader.u32(), reader.u16()
         if path_id in dictionary:
             raise ValueError(f"duplicate sub-path id {path_id}")
         if n_records == 0:
             raise ValueError(f"sub-path {path_id} is empty")
         pattern = []
-        for _ in range(n_records):
-            if pos + 9 > len(payload):
-                raise ValueError("truncated sub-path record")
-            tag, a, b = struct.unpack_from("<BII", payload, pos)
-            pos += 9
+        for tag, a, b in reader.structs(RECORD, n_records, "record"):
             cls = _PATTERN_RECORDS.get(tag)
             if cls is None:
                 raise ValueError(f"unknown sub-path record tag {tag}")
             pattern.append(cls(a, b))
         dictionary[path_id] = tuple(pattern)
-    if pos != len(payload):
-        raise ValueError("trailing bytes after dictionary")
+    reader.done("trailing bytes after dictionary")
     return dictionary
 
 

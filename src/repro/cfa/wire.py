@@ -11,10 +11,10 @@ encoding of :meth:`Record.pack`.
 
 from __future__ import annotations
 
-import struct
 from typing import List, Tuple
 
 from repro.cfa.cflog import (
+    RECORD,
     AddressRecord,
     BranchRecord,
     CFLog,
@@ -23,110 +23,58 @@ from repro.cfa.cflog import (
 )
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.speccfa import SpecRecord
+from repro.codec import Reader, Writer
 
 MAGIC = b"RAPT"
 VERSION = 1
 
 #: every record crosses the wire as the 9-byte tagged ``Record.pack``
-RECORD_BYTES = 9
+_RECORD_TYPES = {1: BranchRecord, 2: AddressRecord, 3: LoopRecord,
+                 4: SpecRecord}
 
 
 class WireError(Exception):
     """Malformed or truncated wire data."""
 
 
-def _pack_bytes(data: bytes) -> bytes:
-    return struct.pack("<I", len(data)) + data
+def _reader(data: bytes) -> Reader:
+    return Reader(data, WireError, "wire data")
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise WireError("truncated wire data")
-        out = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def lp_bytes(self) -> bytes:
-        return self.take(self.u32())
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
-
-
-def encode_record(record: Record) -> bytes:
-    return record.pack()
-
-
-def decode_record(reader: _Reader) -> Record:
-    tag = reader.u8()
-    a = reader.u32()
-    b = reader.u32()
-    if tag == 1:
-        return BranchRecord(a, b)
-    if tag == 2:
-        return AddressRecord(a, b)
-    if tag == 3:
-        return LoopRecord(a, b)
-    if tag == 4:
-        return SpecRecord(a, b)
-    raise WireError(f"unknown record tag {tag}")
+def _header(magic: bytes, version: int) -> Writer:
+    return Writer(WireError).raw(magic).u8(version)
 
 
 def encode_report(report: Report) -> bytes:
-    body = b"".join([
-        _pack_bytes(report.device_id),
-        _pack_bytes(report.method.encode()),
-        _pack_bytes(report.challenge),
-        _pack_bytes(report.h_mem),
-        struct.pack("<IB", report.seq, 1 if report.final else 0),
-        struct.pack("<I", len(report.cflog)),
-        b"".join(encode_record(r) for r in report.cflog),
-        _pack_bytes(report.mac),
-    ])
-    return MAGIC + struct.pack("<B", VERSION) + _pack_bytes(body)
+    body = (Writer(WireError).lp(report.device_id).lp(report.method)
+            .lp(report.challenge).lp(report.h_mem).u32(report.seq)
+            .u8(1 if report.final else 0).u32(len(report.cflog))
+            .raw(b"".join(r.pack() for r in report.cflog))
+            .lp(report.mac))
+    return _header(MAGIC, VERSION).lp(body.getvalue()).getvalue()
 
 
 def decode_report(data: bytes) -> Tuple[Report, int]:
     """Parse one report; returns ``(report, bytes_consumed)``."""
-    reader = _Reader(data)
-    if reader.take(4) != MAGIC:
-        raise WireError("bad magic")
-    version = reader.u8()
-    if version != VERSION:
-        raise WireError(f"unsupported version {version}")
-    body = _Reader(reader.lp_bytes())
+    reader = _reader(data)
+    reader.header(MAGIC, "report", VERSION)
+    body = _reader(reader.lp_bytes())
     device_id = body.lp_bytes()
-    try:
-        method = body.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"method field is not valid UTF-8: {exc}") from None
+    method = body.lp_str(field="method field")
     challenge = body.lp_bytes()
     h_mem = body.lp_bytes()
-    seq, final = struct.unpack("<IB", body.take(5))
+    seq = body.u32()
+    final = body.u8()
     if final not in (0, 1):
         raise WireError(f"final flag must be 0 or 1, got {final}")
-    count = body.u32()
-    # each record is exactly RECORD_BYTES; reject absurd counts before
-    # looping so a mutated length cannot drive a long decode spin
-    if count * RECORD_BYTES > len(body.data) - body.pos:
-        raise WireError(
-            f"record count {count} exceeds the remaining body")
-    records: List[Record] = [decode_record(body) for _ in range(count)]
+    records: List[Record] = []
+    for tag, a, b in body.structs(RECORD, body.u32(), "record"):
+        cls = _RECORD_TYPES.get(tag)
+        if cls is None:
+            raise WireError(f"unknown record tag {tag}")
+        records.append(cls(a, b))
     mac = body.lp_bytes()
-    if not body.exhausted:
-        raise WireError("trailing bytes inside report body")
+    body.done("trailing bytes inside report body")
     report = Report(
         device_id=device_id, method=method, challenge=challenge,
         h_mem=h_mem, seq=seq, final=bool(final), cflog=CFLog(records),
@@ -166,12 +114,8 @@ def encode_shard_frame(shard_id: int, device_id: str, payload: bytes,
     """Envelope one device payload for handoff to ``shard_id``."""
     if kind not in _SHARD_KINDS:
         raise WireError(f"unknown shard frame kind {kind}")
-    if not 0 <= shard_id <= 0xFFFFFFFF:
-        raise WireError(f"shard id {shard_id} out of range")
-    return (SHARD_MAGIC
-            + struct.pack("<BBI", SHARD_VERSION, kind, shard_id)
-            + _pack_bytes(device_id.encode())
-            + _pack_bytes(payload))
+    return (_header(SHARD_MAGIC, SHARD_VERSION).u8(kind).u32(shard_id)
+            .lp(device_id).lp(payload).getvalue())
 
 
 def decode_shard_frame(data: bytes) -> Tuple[int, str, int, bytes]:
@@ -182,22 +126,15 @@ def decode_shard_frame(data: bytes) -> Tuple[int, str, int, bytes]:
     device id, trailing bytes) — the shard boundary is as hostile a
     surface as the device link and gets the same strictness.
     """
-    reader = _Reader(data)
-    if reader.take(4) != SHARD_MAGIC:
-        raise WireError("bad shard frame magic")
-    version, kind, shard_id = struct.unpack("<BBI", reader.take(6))
-    if version != SHARD_VERSION:
-        raise WireError(f"unsupported shard frame version {version}")
+    reader = _reader(data)
+    reader.header(SHARD_MAGIC, "shard frame", SHARD_VERSION)
+    kind = reader.u8()
     if kind not in _SHARD_KINDS:
         raise WireError(f"unknown shard frame kind {kind}")
-    try:
-        device_id = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(
-            f"device id is not valid UTF-8: {exc}") from None
+    shard_id = reader.u32()
+    device_id = reader.lp_str(field="device id")
     payload = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after shard frame")
+    reader.done("trailing bytes after shard frame")
     return shard_id, device_id, kind, payload
 
 
@@ -229,34 +166,21 @@ def encode_dict_frame(workload: str, method: str, epoch: int,
     """Frame one dictionary push for a device."""
     if len(digest) != _DIGEST_LEN:
         raise WireError("dictionary digest must be 32 bytes")
-    if not 0 <= epoch <= 0xFFFFFFFF:
-        raise WireError(f"epoch {epoch} out of range")
-    return (DICT_MAGIC
-            + struct.pack("<BI", DICT_VERSION, epoch)
-            + digest
-            + _pack_bytes(workload.encode())
-            + _pack_bytes(method.encode())
-            + _pack_bytes(payload))
+    return (_header(DICT_MAGIC, DICT_VERSION).u32(epoch).raw(digest)
+            .lp(workload).lp(method).lp(payload).getvalue())
 
 
 def decode_dict_frame(data: bytes) -> Tuple[str, str, int, bytes, bytes]:
     """Parse a dictionary push; returns
     ``(workload, method, epoch, digest, payload)``."""
-    reader = _Reader(data)
-    if reader.take(4) != DICT_MAGIC:
-        raise WireError("bad dictionary frame magic")
-    version, epoch = struct.unpack("<BI", reader.take(5))
-    if version != DICT_VERSION:
-        raise WireError(f"unsupported dictionary frame version {version}")
+    reader = _reader(data)
+    reader.header(DICT_MAGIC, "dictionary frame", DICT_VERSION)
+    epoch = reader.u32()
     digest = reader.take(_DIGEST_LEN)
-    try:
-        workload = reader.lp_bytes().decode("utf-8")
-        method = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"non-UTF-8 profile field: {exc}") from None
+    workload = reader.lp_str(field="workload")
+    method = reader.lp_str(field="method")
     payload = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after dictionary frame")
+    reader.done("trailing bytes after dictionary frame")
     return workload, method, epoch, digest, payload
 
 
@@ -265,31 +189,19 @@ def encode_dack_frame(device_id: str, epoch: int, digest: bytes,
     """Frame one device's dictionary acknowledgement."""
     if len(digest) != _DIGEST_LEN:
         raise WireError("dictionary digest must be 32 bytes")
-    if not 0 <= epoch <= 0xFFFFFFFF:
-        raise WireError(f"epoch {epoch} out of range")
-    return (DACK_MAGIC
-            + struct.pack("<BI", DACK_VERSION, epoch)
-            + digest
-            + _pack_bytes(device_id.encode())
-            + _pack_bytes(mac))
+    return (_header(DACK_MAGIC, DACK_VERSION).u32(epoch).raw(digest)
+            .lp(device_id).lp(mac).getvalue())
 
 
 def decode_dack_frame(data: bytes) -> Tuple[str, int, bytes, bytes]:
     """Parse an ACK; returns ``(device_id, epoch, digest, mac)``."""
-    reader = _Reader(data)
-    if reader.take(4) != DACK_MAGIC:
-        raise WireError("bad dictionary ACK magic")
-    version, epoch = struct.unpack("<BI", reader.take(5))
-    if version != DACK_VERSION:
-        raise WireError(f"unsupported dictionary ACK version {version}")
+    reader = _reader(data)
+    reader.header(DACK_MAGIC, "dictionary ACK", DACK_VERSION)
+    epoch = reader.u32()
     digest = reader.take(_DIGEST_LEN)
-    try:
-        device_id = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"device id is not valid UTF-8: {exc}") from None
+    device_id = reader.lp_str(field="device id")
     mac = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after dictionary ACK")
+    reader.done("trailing bytes after dictionary ACK")
     return device_id, epoch, digest, mac
 
 
@@ -318,34 +230,21 @@ HEAL_VERSION = 1
 def encode_policy_frame(device_id: str, state: str, reason: str,
                         policy_epoch: int, mac: bytes) -> bytes:
     """Frame one policy notice for a device."""
-    if not 0 <= policy_epoch <= 0xFFFFFFFF:
-        raise WireError(f"policy epoch {policy_epoch} out of range")
-    return (PLCY_MAGIC
-            + struct.pack("<BI", PLCY_VERSION, policy_epoch)
-            + _pack_bytes(device_id.encode())
-            + _pack_bytes(state.encode())
-            + _pack_bytes(reason.encode())
-            + _pack_bytes(mac))
+    return (_header(PLCY_MAGIC, PLCY_VERSION).u32(policy_epoch)
+            .lp(device_id).lp(state).lp(reason).lp(mac).getvalue())
 
 
 def decode_policy_frame(data: bytes) -> Tuple[str, str, str, int, bytes]:
     """Parse a policy notice; returns
     ``(device_id, state, reason, policy_epoch, mac)``."""
-    reader = _Reader(data)
-    if reader.take(4) != PLCY_MAGIC:
-        raise WireError("bad policy frame magic")
-    version, policy_epoch = struct.unpack("<BI", reader.take(5))
-    if version != PLCY_VERSION:
-        raise WireError(f"unsupported policy frame version {version}")
-    try:
-        device_id = reader.lp_bytes().decode("utf-8")
-        state = reader.lp_bytes().decode("utf-8")
-        reason = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"non-UTF-8 policy field: {exc}") from None
+    reader = _reader(data)
+    reader.header(PLCY_MAGIC, "policy frame", PLCY_VERSION)
+    policy_epoch = reader.u32()
+    device_id = reader.lp_str(field="device id")
+    state = reader.lp_str(field="state")
+    reason = reader.lp_str(field="reason")
     mac = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after policy frame")
+    reader.done("trailing bytes after policy frame")
     return device_id, state, reason, policy_epoch, mac
 
 
@@ -353,40 +252,27 @@ def encode_heal_frame(device_id: str, attempt: int, policy_epoch: int,
                       measurement: bytes, nonce: bytes,
                       mac: bytes) -> bytes:
     """Frame one healing order for a quarantined device."""
-    if not 1 <= attempt <= 0xFFFFFFFF:
-        raise WireError(f"healing attempt {attempt} out of range")
-    if not 0 <= policy_epoch <= 0xFFFFFFFF:
-        raise WireError(f"policy epoch {policy_epoch} out of range")
-    return (HEAL_MAGIC
-            + struct.pack("<BII", HEAL_VERSION, attempt, policy_epoch)
-            + _pack_bytes(device_id.encode())
-            + _pack_bytes(measurement)
-            + _pack_bytes(nonce)
-            + _pack_bytes(mac))
+    if attempt < 1:
+        raise WireError("healing attempt must be >= 1")
+    return (_header(HEAL_MAGIC, HEAL_VERSION).u32(attempt).u32(policy_epoch)
+            .lp(device_id).lp(measurement).lp(nonce).lp(mac).getvalue())
 
 
 def decode_heal_frame(
         data: bytes) -> Tuple[str, int, int, bytes, bytes, bytes]:
     """Parse a healing order; returns
     ``(device_id, attempt, policy_epoch, measurement, nonce, mac)``."""
-    reader = _Reader(data)
-    if reader.take(4) != HEAL_MAGIC:
-        raise WireError("bad healing frame magic")
-    version, attempt, policy_epoch = struct.unpack(
-        "<BII", reader.take(9))
-    if version != HEAL_VERSION:
-        raise WireError(f"unsupported healing frame version {version}")
+    reader = _reader(data)
+    reader.header(HEAL_MAGIC, "healing frame", HEAL_VERSION)
+    attempt = reader.u32()
     if attempt < 1:
         raise WireError("healing attempt must be >= 1")
-    try:
-        device_id = reader.lp_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(f"device id is not valid UTF-8: {exc}") from None
+    policy_epoch = reader.u32()
+    device_id = reader.lp_str(field="device id")
     measurement = reader.lp_bytes()
     nonce = reader.lp_bytes()
     mac = reader.lp_bytes()
-    if not reader.exhausted:
-        raise WireError("trailing bytes after healing frame")
+    reader.done("trailing bytes after healing frame")
     return device_id, attempt, policy_epoch, measurement, nonce, mac
 
 

@@ -344,12 +344,10 @@ def _cmd_fleet(args) -> int:
         if args.shards:
             return ShardedFleetService(
                 shards=args.shards, store_dir=args.store,
-                workers=args.workers, executor=args.executor,
-                idle_timeout=5.0,
+                workers=args.workers, idle_timeout=5.0,
                 replay_cache=not args.no_replay_cache, resume=resume,
                 sampler=bool(learn_rounds))
-        return FleetService(workers=args.workers, executor=args.executor,
-                            idle_timeout=5.0,
+        return FleetService(workers=args.workers, idle_timeout=5.0,
                             replay_cache=not args.no_replay_cache,
                             sampler=bool(learn_rounds))
 
@@ -728,11 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--devices", type=int, default=100, metavar="N",
                        help="fleet size (default: 100)")
     fleet.add_argument("--workers", type=int, default=0, metavar="W",
-                       help="verification pool size "
+                       help="verification process-pool size "
                             "(default: 0 = verify inline)")
-    fleet.add_argument("--executor", choices=["auto", "thread", "process"],
-                       default="auto",
-                       help="pool flavour for --workers > 1")
     fleet.add_argument("--attack-fraction", type=float, default=0.3,
                        metavar="F",
                        help="fraction of hostile/faulty devices "

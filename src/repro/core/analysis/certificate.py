@@ -32,11 +32,11 @@ import hashlib
 import hmac
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.analysis.bounds import PathBounds, UNBOUNDED
+from repro.codec import Reader, Writer, atomic_write
+from repro.core.analysis.bounds import UNBOUNDED
 
 MAGIC = b"BNDS1"
 VERSION = 1
@@ -70,123 +70,66 @@ class BoundsCertificate:
         return self.max_log_records is not None
 
 
-def _pack_u64(value: Optional[int]) -> bytes:
-    return struct.pack("<Q", UNBOUNDED if value is None else value)
-
-
-def _pack_lp(data: bytes) -> bytes:
-    if len(data) > 0xFFFF:
-        raise ValueError("field too long for u16 length prefix")
-    return struct.pack("<H", len(data)) + data
+_KEY = struct.Struct("<I")
 
 
 def pack_certificate(cert: BoundsCertificate) -> bytes:
     """The unsigned canonical payload."""
-    out = [MAGIC, struct.pack("<B", VERSION)]
-    out.append(_pack_lp(cert.workload.encode()))
-    out.append(_pack_lp(cert.method.encode()))
-    out.append(_pack_lp(cert.image_digest))
-    out.append(_pack_u64(cert.max_stack_depth))
-    out.append(_pack_u64(cert.max_log_records))
-    out.append(_pack_u64(cert.max_log_bytes))
-    out.append(struct.pack("<B", 1 if cert.depth_exact else 0))
-    out.append(struct.pack("<H", len(cert.recursion_cycles)))
+    out = Writer(ValueError).raw(MAGIC).u8(VERSION)
+    out.lp(cert.workload, 2).lp(cert.method, 2).lp(cert.image_digest, 2)
+    for bound in (cert.max_stack_depth, cert.max_log_records,
+                  cert.max_log_bytes):
+        out.u64(UNBOUNDED if bound is None else bound)
+    out.u8(1 if cert.depth_exact else 0).u16(len(cert.recursion_cycles))
     for cycle in cert.recursion_cycles:
-        out.append(struct.pack("<H", len(cycle)))
+        out.u16(len(cycle))
         for label in cycle:
-            out.append(_pack_lp(label.encode()))
+            out.lp(label, 2)
     for keys in (cert.call_keys, cert.return_keys):
-        ordered = sorted(keys)
-        out.append(struct.pack("<I", len(ordered)))
-        out.extend(struct.pack("<I", addr) for addr in ordered)
-    return b"".join(out)
+        out.u32(len(keys))
+        for addr in sorted(keys):
+            out.u32(addr)
+    return out.getvalue()
 
 
 def sign_certificate(cert: BoundsCertificate, key: bytes) -> bytes:
     """Canonical payload + MAC: the on-disk/wire blob."""
     payload = pack_certificate(cert)
     mac = hmac.new(key, payload, hashlib.sha256).digest()
-    return payload + _pack_lp(mac)
+    return payload + Writer(ValueError).lp(mac, 2).getvalue()
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated certificate")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def lp(self) -> bytes:
-        return self.take(self.u16())
-
-
-def _unpack_u64(value: int) -> Optional[int]:
+def _bound(value: int) -> Optional[int]:
     return None if value == UNBOUNDED else value
 
 
 def decode_certificate(blob: bytes) -> Tuple[BoundsCertificate, bytes]:
     """Strict parse of a signed blob -> (certificate, mac). Unauthenticated:
     callers that care must use :func:`verify_certificate`."""
-    r = _Reader(blob)
-    if r.take(5) != MAGIC:
-        raise ValueError("bad certificate magic")
-    version = r.u8()
-    if version != VERSION:
-        raise ValueError(f"unsupported certificate version {version}")
-    try:
-        workload = r.lp().decode("utf-8")
-        method = r.lp().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"non-UTF8 name field: {exc}") from None
-    digest = r.lp()
-    depth = _unpack_u64(r.u64())
-    records = _unpack_u64(r.u64())
-    log_bytes = _unpack_u64(r.u64())
+    r = Reader(blob, ValueError, "certificate")
+    r.header(MAGIC, "certificate", VERSION)
+    workload = r.lp_str(2, field="workload")
+    method = r.lp_str(2, field="method")
+    digest = r.lp_bytes(2)
+    depth, records, log_bytes = (_bound(r.u64()) for _ in range(3))
     flag = r.u8()
     if flag not in (0, 1):
         raise ValueError(f"depth_exact flag must be 0/1, got {flag}")
-    cycles: List[Tuple[str, ...]] = []
-    for _ in range(r.u16()):
-        members = []
-        for _ in range(r.u16()):
-            try:
-                members.append(r.lp().decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"non-UTF8 cycle label: {exc}") from None
-        cycles.append(tuple(members))
+    cycles = tuple(
+        tuple(r.lp_str(2, field="cycle label") for _ in range(r.u16()))
+        for _ in range(r.u16()))
     key_lists: List[Tuple[int, ...]] = []
     for _ in range(2):
-        count = r.u32()
-        if count * 4 > len(r.data) - r.pos:
-            raise ValueError(f"key count {count} exceeds remaining bytes")
-        keys = tuple(r.u32() for _ in range(count))
+        keys = tuple(k for (k,) in r.structs(_KEY, r.u32(), "key"))
         if list(keys) != sorted(keys):
             raise ValueError("key list not sorted (non-canonical)")
         key_lists.append(keys)
-    mac = r.lp()
-    if r.pos != len(blob):
-        raise ValueError("trailing bytes after certificate")
+    mac = r.lp_bytes(2)
+    r.done("trailing bytes after certificate")
     cert = BoundsCertificate(
         workload=workload, method=method, image_digest=digest,
         max_stack_depth=depth, max_log_records=records,
-        max_log_bytes=log_bytes, recursion_cycles=tuple(cycles),
+        max_log_bytes=log_bytes, recursion_cycles=cycles,
         depth_exact=bool(flag), call_keys=key_lists[0],
         return_keys=key_lists[1],
     )
@@ -214,16 +157,7 @@ def store_certificate(root: str, cert: BoundsCertificate,
     """Atomically write the signed blob next to the image artifacts."""
     os.makedirs(root, exist_ok=True)
     path = certificate_path(root, cert.image_digest, cert.method)
-    blob = sign_certificate(cert, key)
-    fd, tmp = tempfile.mkstemp(dir=root, prefix=".bnds-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, sign_certificate(cert, key))
     return path
 
 

@@ -21,11 +21,11 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
+from repro.codec import atomic_write
 from repro.core.pipeline import RapTrackConfig
 
 #: bump when the artifact layout (or anything feeding it) changes shape
@@ -100,29 +100,6 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def atomic_pickle(root: Union[str, os.PathLike],
-                  path: Union[str, os.PathLike], value: Any) -> None:
-    """Atomically publish ``value`` pickled at ``path``.
-
-    The one-file-per-key CAS idiom shared by the offline-artifact
-    cache and the fleet's durable replay cache: write to a temp file
-    in the same directory, then rename — concurrent writers may race
-    on the same key, but every rename installs a complete file and
-    readers never observe a torn write.
-    """
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class ArtifactCache:
     """Two-level (memory + optional disk) content-addressed cache."""
 
@@ -151,7 +128,8 @@ class ArtifactCache:
         self.stats.stores += 1
         if self.root is None:
             return
-        atomic_pickle(self.root, self._path(key), value)
+        atomic_write(self._path(key),
+                     pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
     def get_or_build(self, key: str, builder: Callable[[], Any]) -> Any:
         """Memoize ``builder()`` under ``key``."""

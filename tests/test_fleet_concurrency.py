@@ -2,7 +2,7 @@
 
 A 50-device mixed fleet (honest, faulty, and hostile transports over
 fibcall/prime/vulnerable) is interleaved against the service once
-serially and once with 4 pool workers; the runs are driven by the same
+serially and once with 4 process-pool workers; the runs are driven by the same
 seed, so every device transmits byte-identical traffic, and the
 per-session verdicts must compare ``==`` — the whole point of routing
 both paths through ``verify_session_chain``.
@@ -29,11 +29,10 @@ def serial_run(specs):
     return sim, report, dict(service.verdicts)
 
 
-def concurrent_run(specs, serial_sim, executor):
+def concurrent_run(specs, serial_sim):
     sim = FleetSimulator(specs, seed=SEED)
     sim.factory = serial_sim.factory  # share the attested templates
-    with FleetService(workers=4, idle_timeout=5.0,
-                      executor=executor) as service:
+    with FleetService(workers=4, idle_timeout=5.0) as service:
         report = sim.run(service)
         return report, dict(service.verdicts), service.metrics
 
@@ -51,13 +50,10 @@ class TestSerialBaseline:
 
 
 class TestConcurrentEqualsSerial:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_verdicts_identical(self, specs, serial_run, executor):
+    def test_verdicts_identical(self, specs, serial_run):
         serial_sim, _, serial_verdicts = serial_run
-        report, verdicts, metrics = concurrent_run(
-            specs, serial_sim, executor)
+        report, verdicts, metrics = concurrent_run(specs, serial_sim)
         assert report.ok, report.mismatches
         assert verdicts == serial_verdicts
         assert metrics.workers == 4
-        assert metrics.executor == executor
         assert metrics.queue_depth == 0  # fully drained
