@@ -31,8 +31,8 @@ import pytest
 from repro.cfa.fleet import (
     DeviceProfile,
     DeviceSpec,
-    FleetService,
     FleetSimulator,
+    ShardedFleetService,
     learn_dictionaries,
     mine_fleet_dictionary,
 )
@@ -54,7 +54,7 @@ def sampled_streams(artifact_cache):
     fleet that ran the real wire protocol (one honest device each)."""
     specs = [DeviceSpec(f"probe-{name}", DeviceProfile(name))
              for name in EVAL_WORKLOADS]
-    with FleetService(sampler=True) as service:
+    with ShardedFleetService(shards=1, sampler=True) as service:
         report = FleetSimulator(
             specs, seed=SEED,
             cache=artifact_cache).run(service)
@@ -103,7 +103,7 @@ def test_fleet_learning_round_trip(artifact_cache, results_dir):
                         DeviceProfile(EVAL_WORKLOADS[i % len(EVAL_WORKLOADS)]))
              for i in range(FLEET_DEVICES)]
     rows = []
-    with FleetService(sampler=True) as service:
+    with ShardedFleetService(shards=1, sampler=True) as service:
         simulator = FleetSimulator(specs, seed=SEED, cache=artifact_cache)
         for spec in specs:  # attest templates outside the timed rounds
             simulator.factory.chain(spec, b"\x00" * 16)

@@ -6,16 +6,17 @@ The package splits along the cost structure of fleet CFA:
   (challenges, replay protection, sequencing, expiry/retry);
 * :mod:`~repro.cfa.fleet.verify` — the expensive chain-verification
   primitive shared verbatim by the serial and pooled paths;
-* :mod:`~repro.cfa.fleet.service` — the multiplexing front end with a
-  worker-pool fan-out, bounded-queue backpressure, and metrics;
+* :mod:`~repro.cfa.fleet.service` — the per-shard multiplexing core
+  with a worker-pool fan-out, bounded-queue backpressure, and metrics;
 * :mod:`~repro.cfa.fleet.simulator` — the load generator / adversary
   model used by the tests, the ``fleet`` CLI, and the benchmarks;
 * :mod:`~repro.cfa.fleet.store` — the durable hash-chained evidence
   log (fsync-before-release) and the content-addressed persistent
   replay cache;
-* :mod:`~repro.cfa.fleet.shard` — the consistent-hash router that
-  partitions the fleet across per-shard services, with crash-restart
-  recovery from the evidence logs;
+* :mod:`~repro.cfa.fleet.shard` — the fleet front end: a
+  consistent-hash router over shard cores (``shards=1`` is the
+  unsharded service) that owns every fleet-wide operation, with
+  crash-restart recovery from the evidence logs;
 * :mod:`~repro.cfa.fleet.dictver` — versioned speculation
   dictionaries and the cryptographic epoch handshake (DICT/DACK);
 * :mod:`~repro.cfa.fleet.mining` — the live-traffic sampler and the
@@ -23,7 +24,7 @@ The package splits along the cost structure of fleet CFA:
 
 The policy control plane — firmware registry, quarantine engine, and
 guaranteed healing — lives in :mod:`repro.cfa.policy` and plugs into
-the services here via the ``policy=`` constructor hooks.
+the front end via its ``policy=`` constructor hook.
 """
 
 from repro.cfa.fleet.dictver import (

@@ -9,8 +9,8 @@ percentiles, throughput) computed on demand and a one-line
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Dict, List, Sequence
 
 
 def percentile(values: List[float], fraction: float) -> float:
@@ -53,7 +53,7 @@ class FleetMetrics:
     evidence_bytes: int = 0
     evidence_fsyncs: int = 0
     sessions_recovered: int = 0  # verdicts restored from the evidence log
-    shards: int = 0              # 0 = unsharded single service
+    shards: int = 0              # set by the router's fold
     recovery_s: float = 0.0      # wall time replaying evidence at restart
     # adaptive speculation (dictionary epoch handshake)
     dict_pushes: int = 0         # DICT frames offered to lagging devices
@@ -134,55 +134,34 @@ class FleetMetrics:
         )
 
 
+#: the fields the router supplies itself rather than folding
+_ROUTER_FIELDS = ("shards", "wall_s", "recovery_s")
+
+#: the per-shard fields that do not simply sum
+_FOLDS: Dict[str, Callable[[list], Any]] = {
+    # concatenate, so the percentiles are fleet-wide, not a mean of
+    # per-shard percentiles
+    "verify_latencies_s": lambda values: [x for v in values for x in v],
+    "queue_depth_max": lambda values: max(values, default=0),
+}
+
+
 def aggregate_metrics(per_shard: Sequence[FleetMetrics],
                       wall_s: float = 0.0,
                       recovery_s: float = 0.0) -> FleetMetrics:
     """Fold per-shard metrics into one fleet-wide view.
 
-    Counters sum; latency samples concatenate (so the percentiles are
-    fleet-wide, not a mean of per-shard percentiles); queue depth takes
-    the worst shard. ``wall_s`` is the *router's* wall clock — shards
-    run concurrently, so summing their walls would double count.
+    Every field sums unless :data:`_FOLDS` names another fold, so a
+    field added later is folded without editing this function.
+    ``wall_s`` is the *router's* wall clock — shards run concurrently,
+    so summing their walls would double count.
     """
-    total = FleetMetrics(shards=len(per_shard))
-    for m in per_shard:
-        total.sessions_opened += m.sessions_opened
-        total.sessions_verified += m.sessions_verified
-        total.sessions_rejected += m.sessions_rejected
-        total.sessions_expired += m.sessions_expired
-        total.sessions_retried += m.sessions_retried
-        total.sessions_refused += m.sessions_refused
-        total.sessions_bounds_rejected += m.sessions_bounds_rejected
-        total.sessions_recovered += m.sessions_recovered
-        total.reports_ingested += m.reports_ingested
-        total.reports_ignored += m.reports_ignored
-        total.duplicates_dropped += m.duplicates_dropped
-        total.bytes_ingested += m.bytes_ingested
-        total.verify_latencies_s.extend(m.verify_latencies_s)
-        total.queue_depth_max = max(total.queue_depth_max,
-                                    m.queue_depth_max)
-        total.workers += m.workers
-        total.replay_cache_hits += m.replay_cache_hits
-        total.replay_cache_misses += m.replay_cache_misses
-        total.evidence_records += m.evidence_records
-        total.evidence_bytes += m.evidence_bytes
-        total.evidence_fsyncs += m.evidence_fsyncs
-        total.dict_pushes += m.dict_pushes
-        total.dict_acks += m.dict_acks
-        total.dict_acks_rejected += m.dict_acks_rejected
-        total.sampler_evictions += m.sampler_evictions
-        total.sessions_denied += m.sessions_denied
-        total.reports_denied += m.reports_denied
-        total.policy_decisions += m.policy_decisions
-        total.policy_notices += m.policy_notices
-        total.suspects += m.suspects
-        total.quarantines += m.quarantines
-        total.recoveries += m.recoveries
-        total.heals_started += m.heals_started
-        total.heals_failed += m.heals_failed
-        total.rejoins += m.rejoins
-        total.revocations += m.revocations
-    total.wall_s = wall_s or max(
-        (m.wall_s for m in per_shard), default=0.0)
-    total.recovery_s = recovery_s
+    total = FleetMetrics(
+        shards=len(per_shard), recovery_s=recovery_s,
+        wall_s=wall_s or max((m.wall_s for m in per_shard), default=0.0))
+    for spec in fields(FleetMetrics):
+        if spec.name in _ROUTER_FIELDS:
+            continue
+        values = [getattr(m, spec.name) for m in per_shard]
+        setattr(total, spec.name, _FOLDS.get(spec.name, sum)(values))
     return total

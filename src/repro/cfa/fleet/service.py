@@ -1,7 +1,11 @@
-"""The fleet attestation service: many devices, one Vrf.
+"""The per-shard core of the fleet Vrf.
 
-:class:`FleetService` multiplexes thousands of concurrent device
-sessions over the wire codec. The split of responsibilities:
+:class:`FleetService` multiplexes one shard's device sessions over the
+wire codec. Fleet-wide operations — healing rounds, lifecycle notices,
+traffic mining, dictionary publishing — live only in the front end,
+:class:`~repro.cfa.fleet.shard.ShardedFleetService`, which with
+``shards=1`` is the unsharded service. The split of responsibilities
+inside a core:
 
 * the :class:`~repro.cfa.fleet.session.SessionManager` does the cheap,
   strictly-ordered protocol bookkeeping (challenges, replay
@@ -38,11 +42,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.cfa.fleet.dictver import (
-    DictEpoch,
-    DictionaryRegistry,
-    verify_dack,
-)
+from repro.cfa.fleet.dictver import DictionaryRegistry, verify_dack
 from repro.cfa.fleet.metrics import FleetMetrics
 from repro.cfa.fleet.mining import TrafficSampler
 from repro.cfa.fleet.store import EvidenceStore, chain_digest
@@ -91,7 +91,7 @@ from repro.core.analysis.certificate import BoundsRegistry, screen_records
 
 
 class FleetService:
-    """Session-multiplexing verification front end for a device fleet."""
+    """Session-multiplexing verification core of one fleet shard."""
 
     def __init__(self, workers: int = 0,
                  seed: bytes = b"fleet-vrf",
@@ -102,7 +102,6 @@ class FleetService:
                  max_pending: Optional[int] = None,
                  replay_cache: Union[bool, ReplayCache] = True,
                  store: Optional[EvidenceStore] = None,
-                 nonce_scope: str = "counter",
                  registry: Optional[DictionaryRegistry] = None,
                  sampler: Union[bool, TrafficSampler, None] = None,
                  policy: Optional[PolicyEngine] = None,
@@ -138,7 +137,7 @@ class FleetService:
         self.manager = SessionManager(
             seed=seed, idle_timeout=idle_timeout,
             reorder_window=reorder_window, max_attempts=max_attempts,
-            max_sessions=max_sessions, nonce_scope=nonce_scope,
+            max_sessions=max_sessions,
             epoch_bindings=self.registry.bindings)
         self.workers = max(0, workers)
         # replay_cache may be a ready-made cache instance (e.g. a
@@ -298,21 +297,7 @@ class FleetService:
                     self.metrics.evidence_fsyncs = self.store.fsyncs
         return len(session_records)
 
-    # -- adaptive speculation: mining taps + epoch handshake ----------------
-
-    def traffic_samples(self) -> Dict[DeviceProfile, list]:
-        """``profile -> weighted exemplar streams`` — the miner's input
-        (empty when sampling is off)."""
-        if self.sampler is None:
-            return {}
-        return {profile: self.sampler.sample(profile)
-                for profile in self.sampler.profiles()}
-
-    def publish_dictionary(self, profile: DeviceProfile,
-                           dictionary) -> DictEpoch:
-        """Version a mined dictionary under the next epoch number in
-        the (possibly shard-shared) registry."""
-        return self.registry.publish(profile, dictionary)
+    # -- adaptive speculation: epoch handshake ------------------------------
 
     def dictionary_pushes(
             self, profile: Optional[DeviceProfile] = None
@@ -449,20 +434,6 @@ class FleetService:
                 session.challenge.nonce)
         return (device_id, frame)
 
-    def heal_pushes(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
-        """One healing round: a heal order for every quarantined device
-        that still has attempts left (devices out of attempts stay
-        quarantined until an operator intervenes or a failed healing
-        session already revoked them)."""
-        if self.policy is None:
-            return []
-        pushes: List[Tuple[str, bytes]] = []
-        for device_id in self.policy.quarantined_devices():
-            push = self.begin_heal(device_id, now)
-            if push is not None:
-                pushes.append(push)
-        return pushes
-
     def resume_heal(self, device_id: str,
                     now: float = 0.0) -> Optional[Tuple[str, bytes]]:
         """Re-issue one standing heal order after a restart (idempotent).
@@ -498,14 +469,6 @@ class FleetService:
                 session.challenge.nonce)
         return (device_id, frame)
 
-    def resume_heals(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
-        """:meth:`resume_heal` for every HEALING device."""
-        if self.policy is None:
-            return []
-        frames = (self.resume_heal(device_id, now)
-                  for device_id in self.policy.healing_devices())
-        return [frame for frame in frames if frame is not None]
-
     def policy_notice_frame(self, device_id: str, state: int,
                             reason: str, epoch: int) -> Optional[bytes]:
         """Build one PLCY lifecycle notice (MAC'd under the device key
@@ -517,20 +480,6 @@ class FleetService:
                 return None
             self.metrics.policy_notices += 1
             return build_policy_frame(key, device_id, state, reason, epoch)
-
-    def policy_pushes(self) -> List[Tuple[str, bytes]]:
-        """Drain pending lifecycle notices as ``(device_id, PLCY
-        frame)`` pairs. Notices are idempotent: a crash between
-        draining and delivery just re-sends after :meth:`restore`."""
-        if self.policy is None:
-            return []
-        pushes: List[Tuple[str, bytes]] = []
-        for device_id, state, reason, epoch in self.policy.take_notices():
-            frame = self.policy_notice_frame(device_id, state, reason,
-                                             epoch)
-            if frame is not None:
-                pushes.append((device_id, frame))
-        return pushes
 
     def _sample_locked(self, session: Session,
                        verdict: SessionVerdict) -> None:

@@ -7,9 +7,8 @@ is what makes session semantics unit-testable and the serial/pooled
 service paths identical. It owns:
 
 * **challenge issuance** — one fresh nonce per session attempt,
-  derived from a counter exactly like
-  :class:`~repro.cfa.protocol.VerifierEndpoint`, with a seen-nonce set
-  guarding reuse;
+  derived from ``(seed, device id, round, attempt)``, with a
+  seen-nonce set guarding reuse;
 * **replay protection** — a report is only accepted if its challenge
   matches the session's *outstanding* nonce and its device id matches
   the session's device: chains replayed from an earlier challenge (or
@@ -72,7 +71,7 @@ class Session:
     state: str = PENDING
     attempt: int = 1
     #: how many sessions this device opened before this one (feeds
-    #: device-scoped nonce derivation; 0 under the counter scope)
+    #: nonce derivation)
     round_index: int = 0
     #: the dictionary epoch this session is pinned to. Pinned at
     #: ``open`` (from the device's last acknowledged epoch) and never
@@ -134,11 +133,8 @@ class SessionManager:
                  reorder_window: int = 8,
                  max_attempts: int = 2,
                  max_sessions: Optional[int] = None,
-                 nonce_scope: str = "counter",
                  epoch_bindings: Optional[Callable[
                      [DeviceProfile], Sequence[Tuple[int, bytes]]]] = None):
-        if nonce_scope not in ("counter", "device"):
-            raise ValueError(f"unknown nonce scope {nonce_scope!r}")
         #: optional ``profile -> [(epoch, digest)]`` lookup used only to
         #: *diagnose* a challenge mismatch as a stale-epoch attestation
         #: (the rejection itself never depends on it)
@@ -148,11 +144,9 @@ class SessionManager:
         self.reorder_window = reorder_window
         self.max_attempts = max_attempts
         self.max_sessions = max_sessions
-        self.nonce_scope = nonce_scope
         self.sessions: Dict[str, Session] = {}
-        self._counter = 0
         self._seen_nonces = set()
-        #: device id -> sessions opened so far (device nonce scope)
+        #: device id -> sessions opened so far (feeds nonce derivation)
         self._device_rounds: Dict[str, int] = {}
         # aggregate ingest accounting (the service folds these into metrics)
         self.duplicates_dropped = 0
@@ -160,30 +154,25 @@ class SessionManager:
 
     # -- challenge issuance -------------------------------------------------
 
-    def _fresh_challenge(self, device_id: str = "", round_index: int = 0,
-                         attempt: int = 1) -> Challenge:
-        """One fresh nonce.
+    def _fresh_challenge(self, device_id: str, round_index: int,
+                         attempt: int) -> Challenge:
+        """One fresh nonce, derived from ``(seed, device id, round,
+        attempt)``.
 
-        Under the default ``counter`` scope nonces come off a global
-        counter (the ``VerifierEndpoint`` scheme): their values depend
-        on issuance *order*. The ``device`` scope derives the nonce
-        from ``(seed, device id, round, attempt)`` instead, so a
-        device's challenge is independent of how sessions interleave,
-        how the fleet is sharded, and whether the Vrf restarted — the
-        property the sharding and crash-recovery differentials pin.
-        Uniqueness still holds per (device, round, attempt) and the
-        seen-nonce set guards both scopes.
+        A device's challenge is thus independent of how sessions
+        interleave, how the fleet is sharded, and whether the Vrf
+        restarted — the property the sharding and crash-recovery
+        differentials pin. Because the round counter is restored from
+        the evidence log, a settled session's challenge is never issued
+        again, so its chain can never be replayed into a later session.
+        The seen-nonce set guards uniqueness within one process.
         """
-        if self.nonce_scope == "device":
-            scoped = hashlib.sha256(b"|".join([
-                b"device-nonce", self.seed, device_id.encode(),
-                round_index.to_bytes(8, "little")])).digest()
-            challenge = Challenge.derive(scoped, attempt)
-        else:
-            challenge = Challenge.derive(self.seed, self._counter)
-            self._counter += 1
+        scoped = hashlib.sha256(b"|".join([
+            b"device-nonce", self.seed, device_id.encode(),
+            round_index.to_bytes(8, "little")])).digest()
+        challenge = Challenge.derive(scoped, attempt)
         if challenge.nonce in self._seen_nonces:
-            raise RuntimeError("nonce reuse")  # unreachable with a counter
+            raise RuntimeError("nonce reuse")
         self._seen_nonces.add(challenge.nonce)
         return challenge
 

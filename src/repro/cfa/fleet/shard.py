@@ -1,14 +1,15 @@
-"""Shard the fleet Vrf: a consistent-hash router over worker shards.
+"""The fleet Vrf's one front end: a consistent-hash router over shards.
 
-One :class:`FleetService` owns every session in a fleet; past a few
-hundred thousand devices that single protocol brain (and its lock)
-is the bottleneck. :class:`ShardedFleetService` partitions the fleet
-by device id: a :class:`HashRing` routes each device to exactly one
-shard, and each shard is a full ``FleetService`` owning its devices'
-sessions, nonces, reorder windows, replay cache, and evidence log —
-no state is shared across shards, so shards can run their own worker
-pools (or, with the handoff framing in :mod:`repro.cfa.wire`, in
-separate processes) without coordination.
+:class:`ShardedFleetService` is the only fleet front end; with
+``shards=1`` it is the unsharded service. A :class:`HashRing` routes
+each device to exactly one shard, and each shard is a
+:class:`~repro.cfa.fleet.service.FleetService` *core* owning its
+devices' sessions, nonces, reorder windows, replay cache, and evidence
+log. Fleet-wide state lives only here, in the router: the dictionary
+registry and traffic mining, the policy engine, and the healing and
+lifecycle-notice loop. Shards share nothing with each other, so they
+can run their own worker pools (or, with the handoff framing in
+:mod:`repro.cfa.wire`, separate processes) without coordination.
 
 Three properties make sharding invisible to verdicts, all pinned by
 ``tests/test_fleet_sharding.py``:
@@ -141,16 +142,15 @@ class HashRing:
 class ShardedFleetService:
     """N fleet shards behind one consistent-hash router.
 
-    Presents the same surface as :class:`FleetService` (``open_session``
-    / ``submit`` / ``tick`` / ``drain`` / ``close`` / ``verdicts``), so
-    the simulator, the CLI, and the benchmarks drive either
-    interchangeably. Every submit crosses the shard boundary through
-    the wire handoff framing — encode at the router, decode at the
-    shard — so the path a multi-process deployment would take is the
-    path that is tested.
+    The fleet front end the simulator, the CLI, and the benchmarks
+    drive (``shards=1`` is the unsharded service). Every report, DICT,
+    DACK, HEAL and PLCY push crosses the shard boundary through the
+    wire handoff framing — encode at the router, decode at the shard —
+    so the path a multi-process deployment would take is the path that
+    is tested.
     """
 
-    def __init__(self, shards: int = 2,
+    def __init__(self, shards: int = 1,
                  store_dir: Optional[Union[str, os.PathLike]] = None,
                  seed: bytes = b"fleet-vrf",
                  workers: int = 0,
@@ -211,8 +211,7 @@ class ShardedFleetService:
                 workers=workers, seed=seed, idle_timeout=idle_timeout,
                 reorder_window=reorder_window, max_attempts=max_attempts,
                 max_sessions=max_sessions, replay_cache=cache,
-                store=store, nonce_scope="device",
-                registry=self.registry, sampler=sampler,
+                store=store, registry=self.registry, sampler=sampler,
                 policy=self.policy, key_lookup=key_lookup,
                 bounds=bounds)
             if store is not None and store.recovered:
@@ -233,7 +232,7 @@ class ShardedFleetService:
         self._recovery_s = time.perf_counter() - t0 if resume else 0.0
         self._started = time.perf_counter()
 
-    # -- the FleetService surface -------------------------------------------
+    # -- sessions -----------------------------------------------------------
 
     @property
     def manager(self) -> SimpleNamespace:
@@ -254,14 +253,23 @@ class ShardedFleetService:
         return self.shards[self.ring.route(device_id)].open_session(
             device_id, profile, key, now)
 
+    def _handoff(self, shard_id: int, device_id: str, payload: bytes,
+                 kind: int) -> Tuple[str, bytes]:
+        """Carry one payload across the in-process shard boundary as a
+        ``RSHD`` handoff frame; returns the ``(device_id, payload)``
+        the frame delivers."""
+        frame = encode_shard_frame(shard_id, device_id, payload, kind=kind)
+        framed_shard, framed_device, framed_kind, inner = \
+            decode_shard_frame(frame)
+        assert framed_kind == kind and framed_shard == shard_id
+        return framed_device, inner
+
     def submit(self, device_id: str, data: bytes, now: float = 0.0) -> None:
         """Route one report to its owning shard via the handoff frame."""
         shard_id = self.ring.route(device_id)
-        frame = encode_shard_frame(shard_id, device_id, data)
-        framed_shard, framed_device, kind, payload = \
-            decode_shard_frame(frame)
-        assert kind == SHARD_KIND_REPORT
-        self.shards[framed_shard].submit(framed_device, payload, now)
+        framed_device, payload = self._handoff(
+            shard_id, device_id, data, SHARD_KIND_REPORT)
+        self.shards[shard_id].submit(framed_device, payload, now)
 
     def tick(self, now: float) -> List[Tuple[str, Challenge]]:
         """Advance every shard's logical clock; merge re-challenges."""
@@ -309,28 +317,20 @@ class ShardedFleetService:
         """``(device_id, DICT frame)`` fleet-wide. Each push crosses
         the shard handoff framing (kind ``DICT``) exactly like a report
         submit does, so the multi-process path is the tested path."""
-        pushes: List[Tuple[str, bytes]] = []
-        for shard_id, service in enumerate(self.shards):
-            for device_id, payload in service.dictionary_pushes(profile):
-                frame = encode_shard_frame(
-                    shard_id, device_id, payload, kind=SHARD_KIND_DICT)
-                framed_shard, framed_device, kind, inner = \
-                    decode_shard_frame(frame)
-                assert kind == SHARD_KIND_DICT and framed_shard == shard_id
-                pushes.append((framed_device, inner))
-        return pushes
+        return [self._handoff(shard_id, device_id, payload,
+                              SHARD_KIND_DICT)
+                for shard_id, service in enumerate(self.shards)
+                for device_id, payload
+                in service.dictionary_pushes(profile)]
 
     def ingest_dack(self, device_id: str, data: bytes,
                     now: float = 0.0) -> bool:
         """Route a device's ``DACK`` to its owning shard (kind ``DACK``
         handoff frame); the shard validates MAC and registry binding."""
         shard_id = self.ring.route(device_id)
-        frame = encode_shard_frame(
-            shard_id, device_id, data, kind=SHARD_KIND_DACK)
-        framed_shard, framed_device, kind, payload = \
-            decode_shard_frame(frame)
-        assert kind == SHARD_KIND_DACK
-        return self.shards[framed_shard].ingest_dack(
+        framed_device, payload = self._handoff(
+            shard_id, device_id, data, SHARD_KIND_DACK)
+        return self.shards[shard_id].ingest_dack(
             framed_device, payload, now)
 
     def acked_epoch(self, device_id: str, profile: DeviceProfile) -> int:
@@ -350,50 +350,46 @@ class ShardedFleetService:
             device_id, now)
 
     def heal_pushes(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
-        """One fleet-wide healing round. The engine is shared, so the
-        router — not the shards — enumerates quarantined devices and
-        routes each heal to the shard that owns the device's sessions;
-        each order crosses the ``HEAL`` handoff framing like every
-        other shard-bound byte."""
-        if self.policy is None:
-            return []
-        pushes: List[Tuple[str, bytes]] = []
-        for device_id in self.policy.quarantined_devices():
-            shard_id = self.ring.route(device_id)
-            push = self.shards[shard_id].begin_heal(device_id, now)
-            if push is None:
-                continue
-            frame = encode_shard_frame(
-                shard_id, push[0], push[1], kind=SHARD_KIND_HEAL)
-            framed_shard, framed_device, kind, inner = \
-                decode_shard_frame(frame)
-            assert kind == SHARD_KIND_HEAL and framed_shard == shard_id
-            pushes.append((framed_device, inner))
-        return pushes
+        """One fleet-wide healing round: a heal order for every
+        quarantined device that still has attempts left (devices out of
+        attempts stay quarantined until an operator intervenes or a
+        failed healing session already revoked them)."""
+        return self._heal_round(now, resume=False)
 
     def resume_heals(self, now: float = 0.0) -> List[Tuple[str, bytes]]:
-        """Re-issue standing heal orders after a restart, each at its
-        owning shard (no new decisions are minted)."""
+        """Re-issue standing heal orders after a restart (no new
+        decisions are minted)."""
+        return self._heal_round(now, resume=True)
+
+    def _heal_round(self, now: float,
+                    resume: bool) -> List[Tuple[str, bytes]]:
+        """One healing pass: mint orders for QUARANTINED devices, or
+        (``resume``) re-issue the standing orders of HEALING ones. The
+        engine is shared, so the router — not the shards — enumerates
+        the devices and routes each heal to the shard that owns the
+        device's sessions; each order crosses the ``HEAL`` handoff
+        framing like every other shard-bound byte."""
         if self.policy is None:
             return []
+        devices = (self.policy.healing_devices() if resume
+                   else self.policy.quarantined_devices())
         pushes: List[Tuple[str, bytes]] = []
-        for device_id in self.policy.healing_devices():
+        for device_id in devices:
             shard_id = self.ring.route(device_id)
-            push = self.shards[shard_id].resume_heal(device_id, now)
-            if push is None:
-                continue
-            frame = encode_shard_frame(
-                shard_id, push[0], push[1], kind=SHARD_KIND_HEAL)
-            framed_shard, framed_device, kind, inner = \
-                decode_shard_frame(frame)
-            assert kind == SHARD_KIND_HEAL and framed_shard == shard_id
-            pushes.append((framed_device, inner))
+            shard = self.shards[shard_id]
+            heal = shard.resume_heal if resume else shard.begin_heal
+            push = heal(device_id, now)
+            if push is not None:
+                pushes.append(self._handoff(shard_id, *push,
+                                            SHARD_KIND_HEAL))
         return pushes
 
     def policy_pushes(self) -> List[Tuple[str, bytes]]:
-        """Drain pending lifecycle notices fleet-wide (kind ``PLCY``
-        handoff frames; each notice is MAC'd by the owning shard under
-        the device's key)."""
+        """Drain pending lifecycle notices fleet-wide as ``(device_id,
+        PLCY frame)`` pairs (kind ``PLCY`` handoff frames; each notice
+        is MAC'd by the owning shard under the device's key). Notices
+        are idempotent: a crash between draining and delivery just
+        re-sends after a restart."""
         if self.policy is None:
             return []
         pushes: List[Tuple[str, bytes]] = []
@@ -401,14 +397,9 @@ class ShardedFleetService:
             shard_id = self.ring.route(device_id)
             payload = self.shards[shard_id].policy_notice_frame(
                 device_id, state, reason, epoch)
-            if payload is None:
-                continue
-            frame = encode_shard_frame(
-                shard_id, device_id, payload, kind=SHARD_KIND_PLCY)
-            framed_shard, framed_device, kind, inner = \
-                decode_shard_frame(frame)
-            assert kind == SHARD_KIND_PLCY and framed_shard == shard_id
-            pushes.append((framed_device, inner))
+            if payload is not None:
+                pushes.append(self._handoff(shard_id, device_id, payload,
+                                            SHARD_KIND_PLCY))
         return pushes
 
     def drain(self) -> FleetMetrics:

@@ -514,7 +514,7 @@ class CampaignReport:
 
 class CampaignSimulator:
     """Drive a compromise-then-heal campaign against a policy-enabled
-    service (:class:`FleetService` or ``ShardedFleetService``).
+    fleet front end (``ShardedFleetService``, any shard count).
 
     Device-side state — which devices have been re-provisioned by a
     HEAL order — lives here, *outside* the service: devices do not

@@ -50,6 +50,13 @@ def _make_cache(args) -> Optional[ArtifactCache]:
     return ArtifactCache(args.cache_dir or default_cache_dir())
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="offline-artifact cache location "
@@ -327,29 +334,23 @@ def _cmd_attack(_args) -> int:
 def _cmd_fleet(args) -> int:
     from repro.cfa.fleet import (
         ChainFactory,
-        FleetService,
         FleetSimulator,
         ShardedFleetService,
         build_fleet_specs,
     )
 
-    if args.smoke_restart and not (args.shards and args.store):
-        print("fleet: --smoke-restart requires --shards and --store",
-              file=sys.stderr)
+    if args.smoke_restart and not args.store:
+        print("fleet: --smoke-restart requires --store", file=sys.stderr)
         return 2
 
     learn_rounds = getattr(args, "learn", 0)
 
     def make_service(resume: bool = False):
-        if args.shards:
-            return ShardedFleetService(
-                shards=args.shards, store_dir=args.store,
-                workers=args.workers, idle_timeout=5.0,
-                replay_cache=not args.no_replay_cache, resume=resume,
-                sampler=bool(learn_rounds))
-        return FleetService(workers=args.workers, idle_timeout=5.0,
-                            replay_cache=not args.no_replay_cache,
-                            sampler=bool(learn_rounds))
+        return ShardedFleetService(
+            shards=args.shards, store_dir=args.store,
+            workers=args.workers, idle_timeout=5.0,
+            replay_cache=not args.no_replay_cache, resume=resume,
+            sampler=bool(learn_rounds))
 
     specs = build_fleet_specs(
         args.devices, attack_fraction=args.attack_fraction,
@@ -415,7 +416,7 @@ def _cmd_fleet(args) -> int:
                       f"({note})", file=sys.stderr)
             metrics = service.metrics
     print(f"fleet: {metrics.summary()}", file=sys.stderr)
-    if args.store and args.shards:
+    if args.store:
         audited = _audit_store(args.store)
         if audited < 0:
             return 1
@@ -537,19 +538,13 @@ def _cmd_policy(args) -> int:
     from repro.cfa.fleet import (
         CampaignSimulator,
         ChainFactory,
-        FleetService,
         ShardedFleetService,
         build_campaign_specs,
         device_key,
     )
-    from repro.cfa.policy import PolicyEngine, PolicyRegistry, policy_key
 
-    if args.store and not args.shards:
-        print("policy: --store requires --shards", file=sys.stderr)
-        return 2
-    if args.smoke_restart and not (args.shards and args.store):
-        print("policy: --smoke-restart requires --shards and --store",
-              file=sys.stderr)
+    if args.smoke_restart and not args.store:
+        print("policy: --smoke-restart requires --store", file=sys.stderr)
         return 2
 
     specs = build_campaign_specs(
@@ -559,16 +554,9 @@ def _cmd_policy(args) -> int:
     simulator = CampaignSimulator(specs, seed=args.seed, factory=factory)
 
     def make_service(resume: bool = False):
-        if args.shards:
-            return ShardedFleetService(
-                shards=args.shards, store_dir=args.store,
-                idle_timeout=5.0, resume=resume,
-                policy=True, key_lookup=device_key)
-        return FleetService(
-            idle_timeout=5.0,
-            policy=PolicyEngine(registry=PolicyRegistry(
-                policy_key(b"fleet-vrf"))),
-            key_lookup=device_key)
+        return ShardedFleetService(
+            shards=args.shards, store_dir=args.store, idle_timeout=5.0,
+            resume=resume, policy=True, key_lookup=device_key)
 
     service = make_service()
     if not args.no_pin:
@@ -739,13 +727,12 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--no-replay-cache", action="store_true",
                        help="disable replay memoization across "
                             "identical chains")
-    fleet.add_argument("--shards", type=int, default=0, metavar="S",
+    fleet.add_argument("--shards", type=_positive_int, default=1,
+                       metavar="S",
                        help="shard the fleet across S services behind "
-                            "a consistent-hash router "
-                            "(default: 0 = single service)")
+                            "a consistent-hash router (default: 1)")
     fleet.add_argument("--store", metavar="DIR",
-                       help="durable evidence-store directory "
-                            "(requires --shards >= 1)")
+                       help="durable evidence-store directory")
     fleet.add_argument("--smoke-restart", action="store_true",
                        help="hard-stop the service halfway, recover "
                             "from the evidence logs, finish the run "
@@ -785,12 +772,12 @@ def build_parser() -> argparse.ArgumentParser:
                         default="rap-track")
     policy.add_argument("--seed", type=int, default=0,
                         help="fleet composition + delivery RNG seed")
-    policy.add_argument("--shards", type=int, default=0, metavar="S",
+    policy.add_argument("--shards", type=_positive_int, default=1,
+                        metavar="S",
                         help="shard the fleet across S services "
-                             "(default: 0 = single service)")
+                             "(default: 1)")
     policy.add_argument("--store", metavar="DIR",
-                        help="durable evidence-store directory "
-                             "(requires --shards >= 1)")
+                        help="durable evidence-store directory")
     policy.add_argument("--smoke-restart", action="store_true",
                         help="hard-stop the service after the first "
                              "round, rebuild the control plane from "

@@ -12,7 +12,7 @@ Regenerate (only if the fixture must ever change) with::
     path.write_bytes(b"EVD1\\x01")
     store = EvidenceStore(path, audit_key(b"fleet-vrf"))
     service = FleetService(seed=b"fleet-vrf", idle_timeout=5.0,
-                           store=store, nonce_scope="device")
+                           store=store)
     FleetSimulator(build_fleet_specs(6, workloads=("fibcall",), seed=3),
                    seed=7, factory=ChainFactory(watermark=256)).run(service)
 """

@@ -13,16 +13,21 @@ shard) and the wire-level shard handoff framing every routed report
 crosses.
 """
 
+import dataclasses
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.cfa.fleet import (
     ChainFactory,
+    EvidenceStore,
+    FleetMetrics,
     FleetService,
     FleetSimulator,
     HashRing,
     ShardedFleetService,
+    aggregate_metrics,
     audit_key,
     build_fleet_specs,
     verify_evidence_trail,
@@ -60,9 +65,8 @@ def run_sharded(specs, factory, shards, store_dir):
 class TestShardCountInvariance:
     def test_sharded_matches_single_and_unsharded(self, specs, factory,
                                                   tmp_path):
-        """shards ∈ {1, 2, 4}: identical verdicts, identical evidence
-        heads; and the plain (storeless, counter-nonce) FleetService
-        agrees on every verdict's accept/reject outcome."""
+        """shards ∈ {1, 2, 4} and a standalone shard core with its own
+        evidence store: identical verdicts, identical evidence heads."""
         runs = {}
         for shards in (1, 2, 4):
             runs[shards] = run_sharded(
@@ -74,12 +78,13 @@ class TestShardCountInvariance:
             assert heads_n == heads_1
         assert set(heads_1) == {s.device_id for s in specs}
 
-        plain = FleetService(seed=SEED, idle_timeout=5.0)
+        store = EvidenceStore(tmp_path / "plain.log", audit_key(SEED))
+        plain = FleetService(seed=SEED, idle_timeout=5.0, store=store)
         report = FleetSimulator(specs, seed=7, factory=factory).run(plain)
+        plain.close()
         assert report.ok, report.mismatches
-        for device_id, verdict in verdicts_1.items():
-            assert (report.verdicts[device_id].accepted
-                    == verdict.accepted)
+        assert report.verdicts == verdicts_1
+        assert store.heads() == heads_1
 
     def test_every_shard_log_audits_clean(self, specs, factory,
                                           tmp_path):
@@ -106,6 +111,37 @@ class TestShardCountInvariance:
         for shard_id, store in enumerate(service.stores):
             for record in verify_evidence_trail(store.path, key):
                 assert service.ring.route(record.device_id) == shard_id
+
+
+class TestMetricsFold:
+    def test_every_field_folds(self):
+        """Two shards with distinct non-zero values in every field:
+        the latencies concatenate, the queue high-water mark takes the
+        max, the router supplies ``shards``/``wall_s``/``recovery_s``,
+        and every other field — ``queue_depth`` included — sums."""
+        per_shard = []
+        for base in (1, 100):
+            metrics = FleetMetrics()
+            for index, spec in enumerate(dataclasses.fields(FleetMetrics)):
+                value = base + index
+                if spec.name == "verify_latencies_s":
+                    setattr(metrics, spec.name, [value / 1000])
+                else:
+                    kind = type(getattr(metrics, spec.name))
+                    setattr(metrics, spec.name, kind(value))
+            per_shard.append(metrics)
+        total = aggregate_metrics(per_shard, wall_s=7.5, recovery_s=2.5)
+        router = {"shards": 2, "wall_s": 7.5, "recovery_s": 2.5}
+        first, second = per_shard
+        for spec in dataclasses.fields(FleetMetrics):
+            a, b = getattr(first, spec.name), getattr(second, spec.name)
+            if spec.name in router:
+                expected = router[spec.name]
+            elif spec.name == "queue_depth_max":
+                expected = max(a, b)
+            else:  # numbers sum, the latency lists concatenate
+                expected = a + b
+            assert getattr(total, spec.name) == expected, spec.name
 
 
 class TestHashRing:

@@ -95,8 +95,7 @@ class TestHonestTrailsVerify:
     def test_chain_links_across_device_rounds(self, factory, tmp_path):
         """Multiple sessions of one device form one linked chain."""
         store = make_store(tmp_path / "evidence.log")
-        service = FleetService(workers=0, store=store,
-                               nonce_scope="device")
+        service = FleetService(workers=0, store=store)
         drive_session(service, factory, "prv-0")
         drive_session(service, factory, "prv-1")
         drive_session(service, factory, "prv-0")  # second round
@@ -113,21 +112,40 @@ class TestHonestTrailsVerify:
     def test_chain_continues_across_reopen(self, factory, tmp_path):
         path = tmp_path / "evidence.log"
         store = make_store(path)
-        service = FleetService(workers=0, store=store,
-                               nonce_scope="device")
+        service = FleetService(workers=0, store=store)
         drive_session(service, factory, "prv-0")
         service.close()
         head_before = store.head("prv-0")
         # a fresh process opens the same log and appends
         store2 = make_store(path)
         assert store2.head("prv-0") == head_before
-        service2 = FleetService(workers=0, store=store2,
-                                nonce_scope="device")
+        service2 = FleetService(workers=0, store=store2)
         service2.restore(store2.recovered)
         drive_session(service2, factory, "prv-0")
         service2.close()
         records = verify_evidence_trail(path, AUDIT_KEY)
         assert [r.seq for r in records if r.device_id == "prv-0"] == [0, 1]
+
+    def test_pre_crash_chain_replay_is_rejected(self, factory, tmp_path):
+        """A chain signed before a restart answers a challenge the
+        restored service never issues again: replaying it verbatim into
+        the device's next session is refused at ingest."""
+        path = tmp_path / "evidence.log"
+        store = make_store(path)
+        service = FleetService(workers=0, store=store)
+        chunks = drive_session(service, factory, "prv-0")
+        service.close()
+        assert service.verdicts["prv-0"].accepted
+        store2 = make_store(path)
+        service2 = FleetService(workers=0, store=store2)
+        service2.restore(store2.recovered)
+        service2.open_session("prv-0", FIBCALL, device_key("prv-0"))
+        for chunk in chunks:
+            service2.submit("prv-0", chunk)
+        service2.close()
+        verdict = service2.verdicts["prv-0"]
+        assert not verdict.accepted
+        assert "challenge" in verdict.reason
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +153,7 @@ def trail_bytes(factory, tmp_path_factory):
     """One honest multi-record log, as raw bytes, for mutation tests."""
     path = tmp_path_factory.mktemp("trail") / "evidence.log"
     store = make_store(path)
-    service = FleetService(workers=0, store=store, nonce_scope="device")
+    service = FleetService(workers=0, store=store)
     drive_session(service, factory, "prv-0")
     drive_session(service, factory, "prv-1")
     drive_session(service, factory, "prv-0")
@@ -218,8 +236,7 @@ class TestCacheHitCoherence:
         for cache in (True, False):
             store = make_store(tmp_path / f"evidence-{cache}.log")
             service = FleetService(workers=0, store=store,
-                                   replay_cache=cache,
-                                   nonce_scope="device")
+                                   replay_cache=cache)
             drive_session(service, factory, "prv-0")
             drive_session(service, factory, "prv-1")
             service.close()
@@ -308,8 +325,7 @@ class TestDurableReplayCache:
         runs = []
         for cache in (DurableReplayCache(tmp_path / "cas"),
                       ReplayCache(), False):
-            service = FleetService(workers=0, replay_cache=cache,
-                                   nonce_scope="device")
+            service = FleetService(workers=0, replay_cache=cache)
             drive_session(service, factory, "prv-0")
             drive_session(service, factory, "prv-1")
             service.close()

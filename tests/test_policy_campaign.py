@@ -18,7 +18,6 @@ from repro.cfa.fleet import (
     CampaignSimulator,
     ChainFactory,
     DeviceSpec,
-    FleetService,
     ShardedFleetService,
     build_campaign_specs,
     device_key,
@@ -26,11 +25,8 @@ from repro.cfa.fleet import (
 from repro.cfa.fleet.verify import DeviceProfile
 from repro.cfa.policy import (
     PolicyDeniedError,
-    PolicyEngine,
-    PolicyRegistry,
     QUARANTINED,
     REVOKED,
-    policy_key,
     verify_heal_frame,
 )
 from repro.cli import main
@@ -45,12 +41,11 @@ def factory():
     return ChainFactory(watermark=256)
 
 
-def policy_service(max_heal_attempts: int = 2) -> FleetService:
-    engine = PolicyEngine(
-        registry=PolicyRegistry(policy_key(SEED)),
-        suspect_threshold=2, max_heal_attempts=max_heal_attempts)
-    return FleetService(seed=SEED, idle_timeout=IDLE, policy=engine,
-                        key_lookup=device_key)
+def policy_service(max_heal_attempts: int = 2) -> ShardedFleetService:
+    return ShardedFleetService(
+        shards=1, seed=SEED, idle_timeout=IDLE, policy=True,
+        key_lookup=device_key, suspect_threshold=2,
+        max_heal_attempts=max_heal_attempts)
 
 
 class TestCampaignSLA:
@@ -188,8 +183,9 @@ class TestPolicyCli:
         assert "0 wrongful quarantine(s)" in out
 
     def test_policy_flag_validation(self, capsys):
-        assert main(["policy", "--devices", "4", "--store",
-                     "/tmp/nope"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["policy", "--devices", "4", "--shards", "0"])
+        assert exit_info.value.code == 2
         assert main(["policy", "--devices", "4",
                      "--smoke-restart"]) == 2
 

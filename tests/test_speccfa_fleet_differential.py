@@ -23,14 +23,12 @@ from repro.cfa.fleet import (
     ChainFactory,
     DeviceProfile,
     DeviceSpec,
-    FleetService,
     FleetSimulator,
     ShardedFleetService,
     device_key,
     learn_dictionaries,
     mine_fleet_dictionary,
 )
-from repro.cfa.fleet.store import EvidenceStore
 from repro.cfa.speccfa import mine_subpaths
 
 SEED = 5
@@ -54,7 +52,7 @@ def factory():
 def traffic(factory):
     """One probe round with the sampler on: the expanded streams every
     dictionary in this battery is mined from."""
-    with FleetService(sampler=True) as service:
+    with ShardedFleetService(shards=1, sampler=True) as service:
         report = FleetSimulator(SPECS, seed=SEED,
                                 factory=factory).run(service)
         assert report.ok, report.mismatches
@@ -71,12 +69,10 @@ def dictionaries(traffic):
     return {"off": {}, "static": static, "adaptive": adaptive}
 
 
-def settle(factory, dicts, store_path=None):
+def settle(factory, dicts, store_dir):
     """Two rounds under one configuration: plain round, push/ACK, then
     the compressed round. Returns (round-2 verdicts, evidence records)."""
-    store = (EvidenceStore(store_path, b"audit-key")
-             if store_path else None)
-    with FleetService(store=store) as service:
+    with ShardedFleetService(shards=1, store_dir=store_dir) as service:
         for profile, dictionary in sorted(
                 dicts.items(), key=lambda kv: str(kv[0])):
             if dictionary:
@@ -89,8 +85,7 @@ def settle(factory, dicts, store_path=None):
         report = simulator.run(service)
         assert report.ok, report.mismatches
         round2 = dict(service.verdicts)
-        evidence = (list(service.store.records())
-                    if service.store else [])
+        evidence = list(service.stores[0].records())
     return round1, round2, evidence
 
 
@@ -105,7 +100,7 @@ def test_dictionaries_differ(dictionaries):
 def test_verdicts_invariant_under_dictionaries(
         factory, dictionaries, tmp_path):
     results = {
-        name: settle(factory, dicts, tmp_path / f"{name}.log")
+        name: settle(factory, dicts, tmp_path / name)
         for name, dicts in dictionaries.items()}
     _, off_verdicts, off_evidence = results["off"]
     assert off_verdicts["prv-05"].violations  # the attack is caught
@@ -139,7 +134,7 @@ def test_compression_actually_happened(factory, dictionaries):
     round must transmit strictly fewer bytes than the off round."""
     totals = {}
     for name in ("off", "adaptive"):
-        with FleetService() as service:
+        with ShardedFleetService(shards=1) as service:
             for profile, dictionary in dictionaries[name].items():
                 if dictionary:
                     service.publish_dictionary(profile, dictionary)
