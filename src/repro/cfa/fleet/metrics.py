@@ -9,11 +9,12 @@ percentiles, throughput) computed on demand and a one-line
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, MutableSequence, Sequence
 
 
-def percentile(values: List[float], fraction: float) -> float:
+def percentile(values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile; 0.0 on an empty sample."""
     if not values:
         return 0.0
@@ -41,7 +42,9 @@ class FleetMetrics:
     duplicates_dropped: int = 0
     bytes_ingested: int = 0
     # verification engine
-    verify_latencies_s: List[float] = field(default_factory=list, repr=False)
+    #: one float64 per verified session, packed (no object per sample)
+    verify_latencies_s: MutableSequence[float] = field(
+        default_factory=lambda: array("d"), repr=False)
     queue_depth: int = 0
     queue_depth_max: int = 0
     workers: int = 0

@@ -7,8 +7,8 @@ is what makes session semantics unit-testable and the serial/pooled
 service paths identical. It owns:
 
 * **challenge issuance** — one fresh nonce per session attempt,
-  derived from ``(seed, device id, round, attempt)``, with a
-  seen-nonce set guarding reuse;
+  derived from ``(seed, device id, round, attempt)``, with each
+  device's latest ``(round, attempt)`` guarding reuse;
 * **replay protection** — a report is only accepted if its challenge
   matches the session's *outstanding* nonce and its device id matches
   the session's device: chains replayed from an earlier challenge (or
@@ -145,7 +145,8 @@ class SessionManager:
         self.max_attempts = max_attempts
         self.max_sessions = max_sessions
         self.sessions: Dict[str, Session] = {}
-        self._seen_nonces = set()
+        #: device id -> (round, attempt) of its latest challenge
+        self._issued: Dict[str, Tuple[int, int]] = {}
         #: device id -> sessions opened so far (feeds nonce derivation)
         self._device_rounds: Dict[str, int] = {}
         # aggregate ingest accounting (the service folds these into metrics)
@@ -165,16 +166,20 @@ class SessionManager:
         differentials pin. Because the round counter is restored from
         the evidence log, a settled session's challenge is never issued
         again, so its chain can never be replayed into a later session.
-        The seen-nonce set guards uniqueness within one process.
+
+        Within one process, each device's ``(round, attempt)`` pairs
+        must strictly increase. The nonce is a function of that pair,
+        so no nonce is issued twice, and the guard holds one pair per
+        device, not one entry per session.
         """
+        issued = self._issued.get(device_id)
+        if issued is not None and (round_index, attempt) <= issued:
+            raise RuntimeError("nonce reuse")
+        self._issued[device_id] = (round_index, attempt)
         scoped = hashlib.sha256(b"|".join([
             b"device-nonce", self.seed, device_id.encode(),
             round_index.to_bytes(8, "little")])).digest()
-        challenge = Challenge.derive(scoped, attempt)
-        if challenge.nonce in self._seen_nonces:
-            raise RuntimeError("nonce reuse")
-        self._seen_nonces.add(challenge.nonce)
-        return challenge
+        return Challenge.derive(scoped, attempt)
 
     def restore_rounds(self, rounds: Dict[str, int]) -> None:
         """Resume device-scoped nonce derivation after a restart.

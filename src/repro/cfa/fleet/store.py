@@ -567,9 +567,10 @@ class EvidenceStore:
 class DurableReplayCache(ReplayCache):
     """The fleet replay cache, persisted content-addressed on disk.
 
-    Entries live in an :class:`~repro.eval.cache.ArtifactCache`
-    (memory + one pickle file per key, atomic rename), keyed by a
-    digest of ``(profile, record-stream digest)`` — the same CAS
+    Entries live in the bounded in-memory LRU of :class:`ReplayCache`
+    and on disk in an :class:`~repro.eval.cache.ArtifactCache` (one
+    pickle file per key, atomic rename), keyed by a digest of
+    ``(profile, record-stream digest)`` — the same CAS
     discipline the offline-artifact cache uses, so concurrent shards
     can share one directory and a restarted service re-warms from
     disk. A corrupt or unreadable entry is a miss and gets rebuilt,
@@ -580,7 +581,9 @@ class DurableReplayCache(ReplayCache):
 
     def __init__(self, root: Optional[Union[str, os.PathLike]] = None):
         super().__init__()
-        self._cas = ArtifactCache(root)
+        # the bounded LRU above is the memory tier: the CAS keeps no
+        # second in-memory copy of every summary
+        self._cas = ArtifactCache(root, memory=False)
         self.disk_hits = 0
 
     @staticmethod
@@ -593,23 +596,18 @@ class DurableReplayCache(ReplayCache):
         ])
         return hashlib.sha256(payload).hexdigest()
 
-    def lookup(self, profile: DeviceProfile,
-               key: bytes) -> Optional[_ReplaySummary]:
-        with self._lock:
-            entry = self._entries.get((profile, key))
-            if entry is None:
-                entry = self._cas.get(self.cas_key(profile, key))
-                if entry is not None:
-                    self._entries[(profile, key)] = entry
-                    self.disk_hits += 1
-            if entry is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return entry
+    def _find(self, profile: DeviceProfile,
+              key: bytes) -> Optional[_ReplaySummary]:
+        entry = super()._find(profile, key)
+        if entry is None:
+            entry = self._cas.get(self.cas_key(profile, key))
+            if entry is not None:
+                self._keep(profile, key, entry)
+                self.disk_hits += 1
+        return entry
 
     def store(self, profile: DeviceProfile, key: bytes,
               entry: _ReplaySummary) -> None:
         with self._lock:
-            self._entries[(profile, key)] = entry
+            self._keep(profile, key, entry)
             self._cas.put(self.cas_key(profile, key), entry)

@@ -21,13 +21,15 @@ from __future__ import annotations
 import hashlib
 import struct
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cfa.speccfa import SpecRecord, SubPathDict, expand
 from repro.cfa.streaming import StreamError, StreamingVerifier
-from repro.cfa.verifier import NaiveVerifier, Verifier
+from repro.cfa.verifier import NaiveVerifier, ReplayTable, Verifier
 from repro.cfa.wire import WireError
+from repro.crypto.hashing import measure_image
 from repro.eval.runner import prepare
 from repro.workloads import load_workload
 
@@ -74,9 +76,9 @@ class SessionVerdict:
 
 
 def path_digest(path: Sequence[int]) -> str:
-    """Order-sensitive digest of a replayed path."""
-    packed = b"".join(struct.pack("<I", pc & 0xFFFFFFFF) for pc in path)
-    return hashlib.sha256(packed).hexdigest()
+    """Order-sensitive digest of a replayed path: SHA-256 over its pcs
+    as little-endian u32s (replay only walks 32-bit code addresses)."""
+    return hashlib.sha256(struct.pack(f"<{len(path)}I", *path)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,30 @@ class _ReplaySummary:
     path_digest: str
 
 
+#: memory budget of one replay cache's in-memory entries, as estimated
+#: by :func:`_entry_bytes`; past it the least recently used entries
+#: are evicted (an evicted chain is simply replayed again)
+REPLAY_CACHE_BYTES = 1 << 17
+
+#: estimated resident bytes of one entry apart from its error text and
+#: violations (summary object, digests, key, LRU slot), and of one
+#: violation apart from its two strings; measured with tracemalloc on
+#: CPython 3.11 and rounded up
+_ENTRY_BYTES = 768
+_VIOLATION_BYTES = 160
+
+
+def _entry_bytes(entry: _ReplaySummary) -> int:
+    """Estimated resident size of one cached replay summary.
+
+    A summary can carry up to :data:`MAX_VERDICT_VIOLATIONS` violations,
+    so the estimate counts them: an entry count alone bounds no bytes.
+    """
+    return _ENTRY_BYTES + len(entry.error) + sum(
+        _VIOLATION_BYTES + len(kind) + len(detail)
+        for kind, _address, detail in entry.violations)
+
+
 class ReplayCache:
     """Memoizes the replay of identical ``(profile, CFLog)`` chains.
 
@@ -101,14 +127,20 @@ class ReplayCache:
     ``H_MEM``, sequencing) is per-session by construction and always
     re-checked, so a cached entry can never launder a forged chain.
     Replay is a pure function of ``(verifier artifacts, records)``,
-    which makes the memoization verdict-preserving.
+    which makes the memoization verdict-preserving — and eviction
+    harmless. The entries are an LRU held within
+    :data:`REPLAY_CACHE_BYTES`.
     """
 
     def __init__(self):
-        self._entries: Dict[Tuple[DeviceProfile, bytes], _ReplaySummary] = {}
+        #: (profile, key) -> (summary, estimated bytes), oldest first
+        self._entries: "OrderedDict[Tuple[DeviceProfile, bytes], tuple]" \
+            = OrderedDict()
         self._lock = threading.Lock()  # inline callers may share it
         self.hits = 0
         self.misses = 0
+        #: estimated bytes of the entries held
+        self.bytes = 0
 
     @staticmethod
     def key(records) -> bytes:
@@ -118,7 +150,7 @@ class ReplayCache:
     def lookup(self, profile: DeviceProfile,
                key: bytes) -> Optional[_ReplaySummary]:
         with self._lock:
-            entry = self._entries.get((profile, key))
+            entry = self._find(profile, key)
             if entry is None:
                 self.misses += 1
             else:
@@ -128,7 +160,33 @@ class ReplayCache:
     def store(self, profile: DeviceProfile, key: bytes,
               entry: _ReplaySummary) -> None:
         with self._lock:
-            self._entries[(profile, key)] = entry
+            self._keep(profile, key, entry)
+
+    def _find(self, profile: DeviceProfile,
+              key: bytes) -> Optional[_ReplaySummary]:
+        """The entry for ``(profile, key)``, now most recently used
+        (the caller holds the lock)."""
+        held = self._entries.get((profile, key))
+        if held is None:
+            return None
+        self._entries.move_to_end((profile, key))
+        return held[0]
+
+    def _keep(self, profile: DeviceProfile, key: bytes,
+              entry: _ReplaySummary) -> None:
+        """Hold ``entry``, evicting the least recently used entries past
+        the budget (the caller holds the lock)."""
+        held = self._entries.pop((profile, key), None)
+        if held is not None:
+            self.bytes -= held[1]
+        size = _entry_bytes(entry)
+        if size > REPLAY_CACHE_BYTES:
+            return
+        self._entries[(profile, key)] = (entry, size)
+        self.bytes += size
+        while self.bytes > REPLAY_CACHE_BYTES:
+            _slot, (_entry, evicted) = self._entries.popitem(last=False)
+            self.bytes -= evicted
 
 
 #: most violations a verdict carries — the first ones, in replay order.
@@ -152,22 +210,28 @@ def _summarize(outcome) -> _ReplaySummary:
     )
 
 
-# per-process memo of Vrf-side offline artifacts: profile -> (image, bound)
+# per-process memo of Vrf-side artifacts: profile -> (image, bound,
+# replay table, expected H_MEM). The last two are pure functions of the
+# image, derived here once per profile and never persisted: the offline
+# artifact cache holds only (image, rewrite map)
 _ARTIFACTS: Dict[DeviceProfile, tuple] = {}
 
 
 def build_verifier(profile: DeviceProfile, key: bytes):
-    """(Re)build the Vrf for a profile; offline artifacts are memoized."""
+    """(Re)build the Vrf for a profile; its artifacts are memoized."""
     artifacts = _ARTIFACTS.get(profile)
     if artifacts is None:
-        artifacts = prepare(load_workload(profile.workload), profile.method)
+        image, bound = prepare(load_workload(profile.workload),
+                               profile.method)
+        table = None if bound is None else ReplayTable(image, bound)
+        artifacts = (image, bound, table, measure_image(image))
         _ARTIFACTS[profile] = artifacts
-    image, bound = artifacts
+    image, bound, table, h_mem = artifacts
     if profile.method == "naive-mtb":
-        return NaiveVerifier(image, key)
+        return NaiveVerifier(image, key, expected_h_mem=h_mem)
     if bound is None:
         raise ValueError(f"method {profile.method!r} is not attestable")
-    return Verifier(image, bound, key)
+    return Verifier(image, bound, key, table=table, expected_h_mem=h_mem)
 
 
 def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,

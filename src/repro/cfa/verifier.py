@@ -20,8 +20,9 @@ attestation key. Verification has three layers:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.asm.program import Image
 from repro.cfa.cflog import AddressRecord, BranchRecord, LoopRecord, Record
@@ -71,16 +72,147 @@ class ReplayError(Exception):
     """The log cannot be losslessly replayed against the binary."""
 
 
+#: decision-point opcodes of a :class:`ReplayTable`, one per branch of
+#: the replay's per-site logic
+(_LOOP, _INDIRECT, _COND, _FIXED, _LATCH, _CALL, _RETURN, _BKPT, _BRANCH,
+ _UNCLASSIFIED, _PC_WRITE, _SVC) = range(12)
+
+
+class ReplayTable:
+    """An image's replay, compiled once per (image, bound rewrite map).
+
+    RAP-Track leaves deterministic transfers unlogged, so most replay
+    steps are instructions whose successor is fixed by the binary alone:
+    sequential instructions and unconditional direct branches. The table
+    splits the image's code addresses in two:
+
+    * ``sites`` maps each *decision point* to
+      ``(op, info, instr, size, target)``: the pcs of the rewrite map's
+      ``loop_at``, ``indirect_at``, ``cond_at``, ``fixed_trip_at`` and
+      ``loop_latches``, plus untracked ``bl``, ``bx lr``, ``bkpt`` and
+      ``svc`` and any conditional or pc-writing instruction replay
+      cannot classify. ``target`` is the resolved direct target, or
+      None when there is none.
+    * ``runs`` maps every other code address to
+      ``(segment, offset, after)``: replay from that pc walks
+      ``segment[offset:]`` and continues at ``after``, the next
+      decision point or segment (or a non-code address, which replay
+      rejects). Segments partition the deterministic addresses, so
+      each address is stored in exactly one and the table stays linear
+      in image size whatever a record stream does.
+
+    A non-code address is in neither map. The table is built from the
+    image alone, never from record content.
+    """
+
+    __slots__ = ("runs", "sites")
+
+    def __init__(self, image: Image, rmap: BoundRewriteMap):
+        self.sites: Dict[int, tuple] = {}
+        successor: Dict[int, int] = {}
+        for pc, instr in image.instr_at.items():
+            info: object = None
+            if pc in rmap.loop_at:
+                op, info = _LOOP, rmap.loop_at[pc]
+            elif pc in rmap.indirect_at:
+                op, info = _INDIRECT, rmap.indirect_at[pc]
+            elif pc in rmap.cond_at:
+                op, info = _COND, rmap.cond_at[pc]
+            elif pc in rmap.fixed_trip_at:
+                op = _FIXED
+            elif pc in rmap.loop_latches:
+                op = _LATCH
+            else:
+                kind = instr.kind
+                if kind is InstrKind.BRANCH and instr.cond is None:
+                    target = _resolved_target(image, instr)
+                    if target is not None:
+                        successor[pc] = target
+                        continue
+                    op = _BRANCH
+                elif kind is InstrKind.BRANCH:
+                    op = _UNCLASSIFIED
+                elif kind is InstrKind.CALL:
+                    op = _CALL
+                elif kind is InstrKind.INDIRECT_BRANCH:
+                    op = _RETURN
+                elif instr.mnemonic == "bkpt":
+                    op = _BKPT
+                elif instr.writes_pc():
+                    op = _PC_WRITE
+                elif instr.mnemonic == "svc":
+                    op = _SVC
+                else:
+                    successor[pc] = pc + instr.size
+                    continue
+            self.sites[pc] = (op, info, instr, instr.size,
+                              _resolved_target(image, instr))
+        self.runs = _segment(successor, image)
+
+
+def _resolved_target(image: Image, instr) -> Optional[int]:
+    """An instruction's direct target address, or None without one."""
+    target = instr.direct_target()
+    if target is None:
+        return None
+    try:
+        return image.addr_of(target.name)
+    except KeyError:
+        return None
+
+
+def _segment(successor: Dict[int, int], image: Image) -> Dict[int, tuple]:
+    """Partition deterministic addresses into straight-line segments.
+
+    A segment starts at a *head*: an address not fed by exactly one
+    deterministic predecessor (so every fall-through of a decision
+    point), or a symbol, where branches land. It then follows
+    ``successor`` until a decision point, a head or a non-code address,
+    so replay mostly enters segments at their start; entering
+    mid-segment (say, at a logged indirect target) walks the suffix.
+    What is left after the heads are walked are head-less deterministic
+    cycles, cut once around.
+    """
+    fed = Counter(successor.values())
+    labels = set(image.symbols.values())
+    heads = {pc for pc in successor if fed[pc] != 1 or pc in labels}
+    runs: Dict[int, tuple] = {}
+
+    def walk(start: int) -> None:
+        pcs = [start]
+        after = successor[start]
+        while after in successor and after not in heads and after != start:
+            pcs.append(after)
+            after = successor[after]
+        segment = tuple(pcs)
+        for offset, pc in enumerate(segment):
+            runs[pc] = (segment, offset, after)
+
+    for pc in heads:
+        walk(pc)
+    for pc in successor:
+        if pc not in runs:
+            walk(pc)
+    return runs
+
+
 class Verifier:
     """The remote Verifier for trampoline-based CFA (RAP-Track/TRACES)."""
 
     def __init__(self, image: Image, bound_map: BoundRewriteMap, key: bytes,
-                 max_steps: int = DEFAULT_MAX_STEPS):
+                 max_steps: int = DEFAULT_MAX_STEPS,
+                 table: Optional["ReplayTable"] = None,
+                 expected_h_mem: Optional[bytes] = None):
         self.image = image
         self.map = bound_map
         self.key = key
         self.max_steps = max_steps
-        self.expected_h_mem = measure_image(image)
+        # both are pure functions of the image: a caller that verifies
+        # many sessions of one image passes them in, computed once
+        self.table = (ReplayTable(image, bound_map) if table is None
+                      else table)
+        self.expected_h_mem = (measure_image(image) if expected_h_mem is None
+                               else expected_h_mem)
 
     # -- top level ----------------------------------------------------------
 
@@ -112,6 +244,8 @@ class Verifier:
     def _replay(self, records: Sequence[Record],
                 result: VerificationResult) -> None:
         image, rmap = self.image, self.map
+        runs, sites = self.table.runs, self.table.sites
+        max_steps = self.max_steps
         pc = image.entry
         cursor = 0
         shadow: List[int] = []
@@ -124,17 +258,30 @@ class Verifier:
             return records[cursor] if cursor < len(records) else None
 
         while True:
+            run = runs.get(pc)
+            if run is not None:
+                # deterministic code: a whole run per iteration, cut at
+                # exactly the step the guard would have stopped
+                segment, offset, after = run
+                end = offset + max_steps - steps
+                if end < len(segment):
+                    path.extend(segment[offset:end])
+                    raise ReplayError("replay exceeded the step guard")
+                path.extend(segment[offset:] if offset else segment)
+                steps += len(segment) - offset
+                pc = after
+                continue
             steps += 1
-            if steps > self.max_steps:
+            if steps > max_steps:
                 raise ReplayError("replay exceeded the step guard")
-            instr = image.instr_at.get(pc)
-            if instr is None:
+            site = sites.get(pc)
+            if site is None:
                 raise ReplayError(f"replay left the code image at {pc:#010x}")
             path.append(pc)
+            op, info, instr, size, target = site
 
             # 1. loop-condition log sites
-            if pc in rmap.loop_at:
-                info = rmap.loop_at[pc]
+            if op == _LOOP:
                 entry = peek()
                 if not isinstance(entry, LoopRecord) or entry.key != pc:
                     raise ReplayError(
@@ -143,12 +290,11 @@ class Verifier:
                 cursor += 1
                 trips = trip_count(info, entry.value)
                 loop_state[info.latch_addr] = trips - 1
-                pc += instr.size
+                pc += size
                 continue
 
             # 2. trampolined indirect transfers
-            if pc in rmap.indirect_at:
-                info = rmap.indirect_at[pc]
+            if op == _INDIRECT:
                 entry = peek()
                 if (not isinstance(entry, (BranchRecord, AddressRecord))
                         or entry.key != info.rec_addr):
@@ -158,7 +304,7 @@ class Verifier:
                 cursor += 1
                 if instr.mnemonic == "svc":
                     # TRACES shape: the instrumented branch follows the svc
-                    path.append(pc + instr.size)
+                    path.append(pc + size)
                 dst = entry.dst
                 if dst == EXIT_SENTINEL and not shadow:
                     break  # top-level return: program exit
@@ -196,8 +342,7 @@ class Verifier:
                 continue
 
             # 3. trampolined conditionals
-            if pc in rmap.cond_at:
-                info = rmap.cond_at[pc]
+            if op == _COND:
                 entry = peek()
                 match = (isinstance(entry, (BranchRecord, AddressRecord))
                          and entry.key == info.rec_addr)
@@ -222,33 +367,34 @@ class Verifier:
                             path.append(info.rec_addr + rec.size)
                         pc = info.taken_addr
                     else:
-                        pc += instr.size
+                        pc += size
                 else:  # forward-exit: a record means "stayed in the loop"
                     if match:
                         cursor += 1
                         # the in-text consume site (RAP: the inserted
                         # direct branch; TRACES: the inline svc)
-                        path.append(pc + instr.size)
+                        path.append(pc + size)
                         pc = info.cont_addr
                     else:
                         pc = info.taken_addr
                 continue
 
             # 4. fixed loops: unroll from the static trip count
-            if pc in rmap.fixed_trip_at:
+            if op == _FIXED:
                 remaining = fixed_state.get(pc)
                 if remaining is None:
                     remaining = rmap.fixed_trip_at[pc] - 1
                 if remaining > 0:
                     fixed_state[pc] = remaining - 1
-                    pc = self._taken_target(pc, instr)
+                    pc = self._taken_target(pc, instr) if target is None \
+                        else target
                 else:
                     fixed_state.pop(pc, None)
-                    pc += instr.size
+                    pc += size
                 continue
 
             # 5. loop-opt latches: governed by the consumed condition
-            if pc in rmap.loop_latches:
+            if op == _LATCH:
                 remaining = loop_state.get(pc)
                 if remaining is None:
                     raise ReplayError(
@@ -256,38 +402,36 @@ class Verifier:
                         f"a logged loop condition")
                 if remaining > 0:
                     loop_state[pc] = remaining - 1
-                    pc = self._taken_target(pc, instr)
+                    pc = self._taken_target(pc, instr) if target is None \
+                        else target
                 else:
                     del loop_state[pc]
-                    pc += instr.size
+                    pc += size
                 continue
 
-            # 6. untracked instructions
-            kind = instr.kind
-            if kind is InstrKind.BRANCH:
-                if instr.cond is not None:
-                    raise ReplayError(
-                        f"unclassified conditional at {pc:#010x}")
-                pc = self._taken_target(pc, instr)
-            elif kind is InstrKind.CALL:
-                shadow.append(pc + instr.size)
+            # 6. untracked decision points
+            if op == _CALL:
+                shadow.append(pc + size)
                 result.max_shadow_depth = max(
                     result.max_shadow_depth, len(shadow))
-                pc = self._taken_target(pc, instr)
-            elif kind is InstrKind.INDIRECT_BRANCH:
+                pc = self._taken_target(pc, instr) if target is None \
+                    else target
+            elif op == _RETURN:
                 # untracked bx lr: a leaf return through an unspilled LR
                 if not shadow:
                     break  # entry function returned: program exit
                 pc = shadow.pop()
-            elif instr.mnemonic == "bkpt":
+            elif op == _BKPT:
                 break
-            elif instr.writes_pc():
+            elif op == _BRANCH:  # no resolvable target: raises
+                pc = self._taken_target(pc, instr)
+            elif op == _UNCLASSIFIED:
+                raise ReplayError(f"unclassified conditional at {pc:#010x}")
+            elif op == _PC_WRITE:
                 raise ReplayError(
                     f"unclassified pc-writing instruction at {pc:#010x}")
-            elif instr.mnemonic == "svc":
-                raise ReplayError(f"unexpected svc at {pc:#010x}")
             else:
-                pc += instr.size
+                raise ReplayError(f"unexpected svc at {pc:#010x}")
 
         result.consumed = cursor
         if cursor != len(records):
@@ -323,11 +467,13 @@ class NaiveVerifier:
     binary where every non-sequential transfer consumes one MTB packet."""
 
     def __init__(self, image: Image, key: bytes,
-                 max_steps: int = DEFAULT_MAX_STEPS):
+                 max_steps: int = DEFAULT_MAX_STEPS,
+                 expected_h_mem: Optional[bytes] = None):
         self.image = image
         self.key = key
         self.max_steps = max_steps
-        self.expected_h_mem = measure_image(image)
+        self.expected_h_mem = (measure_image(image) if expected_h_mem is None
+                               else expected_h_mem)
 
     def verify(self, result: AttestationResult,
                challenge: bytes) -> VerificationResult:

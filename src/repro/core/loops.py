@@ -7,6 +7,8 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.cfg import CFG
 from repro.core.dominators import compute_dominators, dominates
+from repro.isa.alu import MASK32, SIGN_BIT, s32
+from repro.isa.conditions import normalise_cond
 from repro.isa.instructions import Instr, InstrKind
 from repro.isa.operands import Imm, Reg
 
@@ -241,25 +243,48 @@ def _initial_value(cfg: CFG, loop: Loop, counter: int) -> Optional[int]:
     return None
 
 
+_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
+
+#: ``cond`` of the latch after ``cmp counter, #bound`` (or the
+#: self-flag-setting update, bound 0), evaluated on plain integers:
+#: each maps the unsigned 32-bit ``(counter, bound)`` to whether the
+#: branch is taken, exactly as the N/Z/C/V flags of ``counter - bound``
+#: decide it. Signed orders compare with the sign bit flipped.
+_LATCH_TAKEN = {
+    "eq": lambda a, b: a == b,
+    "ne": lambda a, b: a != b,
+    "cs": lambda a, b: a >= b,
+    "cc": lambda a, b: a < b,
+    "mi": lambda a, b: (a - b) & SIGN_BIT != 0,
+    "pl": lambda a, b: (a - b) & SIGN_BIT == 0,
+    "vs": lambda a, b: not _INT32_MIN <= s32(a) - s32(b) <= _INT32_MAX,
+    "vc": lambda a, b: _INT32_MIN <= s32(a) - s32(b) <= _INT32_MAX,
+    "hi": lambda a, b: a > b,
+    "ls": lambda a, b: a <= b,
+    "ge": lambda a, b: a ^ SIGN_BIT >= b ^ SIGN_BIT,
+    "lt": lambda a, b: a ^ SIGN_BIT < b ^ SIGN_BIT,
+    "gt": lambda a, b: a ^ SIGN_BIT > b ^ SIGN_BIT,
+    "le": lambda a, b: a ^ SIGN_BIT <= b ^ SIGN_BIT,
+}
+
+
 def trip_count(shape: SimpleLoopShape, init: int) -> int:
     """Number of body executions of a simple loop entered with ``init``.
 
     The latch branch is taken ``trip_count - 1`` times and falls through
-    on the final evaluation. The counter is simulated step by step,
-    which is cheap and exactly matches hardware flag semantics.
+    on the final evaluation. The counter is stepped one iteration at a
+    time and the latch condition evaluated on plain integers, which
+    matches hardware flag semantics exactly.
     """
-    from repro.isa import alu
-    from repro.isa.conditions import cond_passed
-    from repro.isa.registers import Flags
-
+    taken = _LATCH_TAKEN[normalise_cond(shape.cond)]
+    step = shape.step
+    bound = shape.bound & MASK32
     count = 0
-    value = init & alu.MASK32
+    value = init & MASK32
     guard = 10_000_000
     while True:
-        value = alu.u32(value + shape.step)
-        _, n, z, c, v = alu.sub_with_flags(value, shape.bound)
-        flags = Flags(n, z, c, v)
-        if not cond_passed(shape.cond, flags):
+        value = (value + step) & MASK32
+        if not taken(value, bound):
             return count + 1  # final iteration executed, branch not taken
         count += 1
         if count > guard:

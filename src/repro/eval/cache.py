@@ -101,12 +101,18 @@ class CacheStats:
 
 
 class ArtifactCache:
-    """Two-level (memory + optional disk) content-addressed cache."""
+    """Two-level (memory + optional disk) content-addressed cache.
 
-    def __init__(self, root: Optional[Union[str, os.PathLike]] = None):
+    ``memory=False`` drops the memory level, for callers that bound
+    their own in-memory copy: every hit then reads the disk.
+    """
+
+    def __init__(self, root: Optional[Union[str, os.PathLike]] = None,
+                 memory: bool = True):
         self.root = Path(root) if root is not None else None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
+        self.memory = memory
         self._memory: Dict[str, Any] = {}
         self.stats = CacheStats()
 
@@ -124,7 +130,8 @@ class ArtifactCache:
 
     def put(self, key: str, value: Any) -> None:
         """Store an artifact in memory and (if configured) on disk."""
-        self._memory[key] = value
+        if self.memory:
+            self._memory[key] = value
         self.stats.stores += 1
         if self.root is None:
             return
@@ -156,7 +163,8 @@ class ArtifactCache:
                 value = pickle.load(fh)
         except Exception:  # absent or corrupt (any unpickling error):
             return _MISS   # rebuild and overwrite
-        self._memory[key] = value
+        if self.memory:
+            self._memory[key] = value
         return value
 
     def snapshot(self) -> Tuple[int, int, float]:

@@ -299,3 +299,20 @@ class TestMetrics:
         summary = metrics.summary()
         assert "1/1 sessions" in summary
         assert "rps" in summary and "p50" in summary
+
+
+class TestChallengeIssuance:
+    def test_a_challenge_is_never_issued_twice(self):
+        """Each device's (round, attempt) pairs must strictly increase:
+        the nonce is a function of the pair, so re-deriving an issued
+        pair (or any earlier one) is refused as nonce reuse."""
+        manager = FleetService(workers=0).manager
+        first = manager._fresh_challenge("prv-0", 0, 1)
+        retry = manager._fresh_challenge("prv-0", 0, 2)
+        assert retry.nonce != first.nonce
+        for round_index, attempt in ((0, 2), (0, 1)):
+            with pytest.raises(RuntimeError, match="nonce reuse"):
+                manager._fresh_challenge("prv-0", round_index, attempt)
+        # other devices, and later rounds, are unaffected
+        assert manager._fresh_challenge("prv-1", 0, 1).nonce != first.nonce
+        manager._fresh_challenge("prv-0", 1, 1)
