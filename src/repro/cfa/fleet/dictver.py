@@ -35,21 +35,26 @@ Vrf restarts alongside the evidence log.
 from __future__ import annotations
 
 import hashlib
-import hmac
-import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.cfa.epochs import EpochRegistry
 from repro.cfa.fleet.verify import DeviceProfile
+from repro.crypto.mac import check, sign
 from repro.cfa.speccfa import (
     EMPTY_DICTIONARY_DIGEST,
     SubPathDict,
     pack_dictionary,
     unpack_dictionary,
 )
+
+#: an epoch's payload, decoded once however many sessions, devices and
+#: registries hold it (keyed by the payload bytes, so equal epochs share
+#: one decoded dictionary, which callers must not mutate)
+_decoded = lru_cache(maxsize=64)(unpack_dictionary)
 
 #: nonce length of :meth:`repro.cfa.protocol.Challenge.derive`
 _NONCE_LEN = 16
@@ -66,7 +71,7 @@ class DictEpoch:
 
     @property
     def dictionary(self) -> SubPathDict:
-        return unpack_dictionary(self.payload)
+        return _decoded(self.payload)
 
     @property
     def is_empty(self) -> bool:
@@ -89,14 +94,15 @@ def spec_challenge(nonce: bytes, epoch: int, digest: bytes) -> bytes:
     ).digest()[:_NONCE_LEN]
 
 
+def _dack_signed(device_id: str, epoch: int, digest: bytes) -> bytes:
+    return (b"dict-ack|" + device_id.encode() + struct.pack("<I", epoch)
+            + digest)
+
+
 def dack_mac(key: bytes, device_id: str, epoch: int,
              digest: bytes) -> bytes:
     """The MAC a device signs its dictionary acknowledgement with."""
-    return hmac.new(
-        key,
-        b"dict-ack|" + device_id.encode() + struct.pack("<I", epoch)
-        + digest,
-        hashlib.sha256).digest()
+    return sign(key, _dack_signed(device_id, epoch, digest))
 
 
 class DictionaryRegistry(EpochRegistry[DictEpoch]):
@@ -105,19 +111,15 @@ class DictionaryRegistry(EpochRegistry[DictEpoch]):
     suffix = ".dict"
     noun = "dictionary"
 
-    def __init__(self, store_dir: Optional[Union[str, os.PathLike]] = None):
-        #: digest -> DictEpoch, for resolving ACKs
-        self._by_digest: Dict[bytes, DictEpoch] = {}
-        super().__init__(store_dir)
-
     def _read(self, path: Path) -> DictEpoch:
         workload, method, epoch_str = path.stem.rsplit("__", 2)
         payload = path.read_bytes()
-        unpack_dictionary(payload)  # strict: refuse corrupt epochs
-        return DictEpoch(profile=DeviceProfile(workload, method),
-                         epoch=int(epoch_str),
-                         digest=hashlib.sha256(payload).digest(),
-                         payload=payload)
+        entry = DictEpoch(profile=DeviceProfile(workload, method),
+                          epoch=int(epoch_str),
+                          digest=hashlib.sha256(payload).digest(),
+                          payload=payload)
+        entry.dictionary  # strict: refuse corrupt epochs (decoded once)
+        return entry
 
     def _blob(self, entry: DictEpoch) -> bytes:
         return entry.payload
@@ -129,10 +131,6 @@ class DictionaryRegistry(EpochRegistry[DictEpoch]):
 
     def _content(self, entry: DictEpoch) -> bytes:
         return entry.digest
-
-    def _admit(self, entry: DictEpoch) -> None:
-        super()._admit(entry)
-        self._by_digest[entry.digest] = entry
 
     def publish(self, profile: DeviceProfile,
                 dictionary: SubPathDict) -> DictEpoch:
@@ -148,16 +146,6 @@ class DictionaryRegistry(EpochRegistry[DictEpoch]):
         digest = hashlib.sha256(payload).digest()
         return self._publish(profile, lambda epoch: DictEpoch(
             profile=profile, epoch=epoch, digest=digest, payload=payload))
-
-    def find(self, digest: bytes) -> Optional[DictEpoch]:
-        """Resolve a content digest back to its epoch (ACK ingest)."""
-        with self._lock:
-            return self._by_digest.get(digest)
-
-    def epochs_of(self, profile: DeviceProfile) -> List[DictEpoch]:
-        """Every published epoch for a profile (excluding epoch 0)."""
-        with self._lock:
-            return list(self._epochs.get(profile, []))
 
     def bindings(self, profile: DeviceProfile) -> List[Tuple[int, bytes]]:
         """``(epoch, digest)`` pairs for stale-epoch diagnosis."""
@@ -182,7 +170,6 @@ def verify_dack(registry: DictionaryRegistry, profile: DeviceProfile,
         return None
     if entry.digest != digest or entry.epoch != epoch:
         return None
-    if not hmac.compare_digest(mac, dack_mac(key, device_id, epoch,
-                                             digest)):
+    if not check(key, mac, _dack_signed(device_id, epoch, digest)):
         return None
     return entry

@@ -33,14 +33,13 @@ dictionary *epochs* content-addressable in the first place.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cfa.cflog import Record
-from repro.cfa.fleet.verify import DeviceProfile
+from repro.cfa.cflog import CFLog, Record
+from repro.cfa.fleet.verify import DeviceProfile, records_digest
 from repro.cfa.speccfa import SubPathDict, compress
 
 #: one weighted exemplar: (record stream, sessions observed)
@@ -49,10 +48,6 @@ WeightedStream = Tuple[Tuple[Record, ...], int]
 
 def _stream_bytes(records: Sequence[Record]) -> int:
     return sum(r.size_bytes for r in records)
-
-
-def _stream_digest(records: Sequence[Record]) -> bytes:
-    return hashlib.sha256(b"".join(r.pack() for r in records)).digest()
 
 
 @dataclass
@@ -113,9 +108,11 @@ class TrafficSampler:
     def observe(self, profile: DeviceProfile,
                 records: Sequence[Record],
                 digest: Optional[bytes] = None) -> None:
-        """Absorb one accepted session's (expanded) record stream."""
+        """Absorb one accepted session's (expanded) record stream;
+        ``digest`` is its :func:`records_digest`, computed here when
+        the caller has none."""
         if digest is None:
-            digest = _stream_digest(records)
+            digest = records_digest(CFLog(records).pack())
         with self._lock:
             sample = self._profiles.setdefault(profile, ProfileSample())
             sample.sessions += 1
@@ -209,7 +206,7 @@ def mine_fleet_dictionary(streams: Sequence[WeightedStream],
     and dict iteration order.
     """
     ordered = sorted(streams,
-                     key=lambda sw: _stream_digest(sw[0]))
+                     key=lambda sw: records_digest(CFLog(sw[0]).pack()))
     gains: Counter = Counter()
     for records, weight in ordered:
         n = len(records)

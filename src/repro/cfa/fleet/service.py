@@ -10,11 +10,17 @@ inside a core:
 * the :class:`~repro.cfa.fleet.session.SessionManager` does the cheap,
   strictly-ordered protocol bookkeeping (challenges, replay
   protection, sequence tracking, expiry) on the caller's thread;
-* the expensive part — MAC-checking and losslessly replaying a
-  completed chain — is fanned out across a worker pool
-  (``workers > 1``), or run inline for ``workers <= 1``; every path
-  executes the same :func:`~repro.cfa.fleet.verify.verify_session_chain`
-  primitive, so verdicts are identical by construction.
+* a completed chain is authenticated, expanded and digested once, on
+  the submitting thread, into one
+  :class:`~repro.cfa.fleet.verify.SessionStream` that the `BNDS1`
+  screen, the replay cache, the evidence record and the traffic
+  sampler all read; a chain that fails authentication is settled as
+  rejected right there;
+* the expensive part — losslessly replaying an authenticated stream —
+  is fanned out across a worker pool (``workers > 1``), or run inline
+  for ``workers <= 1``; both run
+  :func:`~repro.cfa.fleet.verify.settle_session`, so verdicts are
+  identical by construction.
 
 The pool is a ``ProcessPoolExecutor``: real multi-core parallelism,
 at a per-session pickle/IPC toll that only extra cores amortize.
@@ -57,9 +63,11 @@ from repro.cfa.fleet.session import (
 from repro.cfa.fleet.verify import (
     DeviceProfile,
     ReplayCache,
+    SessionStream,
     SessionVerdict,
-    pool_verify,
-    verify_session_chain,
+    authenticate_session,
+    pool_settle,
+    settle_session,
 )
 from repro.cfa.policy.engine import (
     ACT_HEAL,
@@ -85,9 +93,12 @@ _DECISION_COUNTERS = {
     ACT_REVOKE: "revocations",
 }
 from repro.cfa.protocol import Challenge
-from repro.cfa.speccfa import expand
 from repro.cfa.wire import WireError, decode_dack_frame, encode_dict_frame
 from repro.core.analysis.certificate import BoundsRegistry, screen_records
+
+# not called here: perfbench/tracer.py patches these names in this module
+from repro.cfa.fleet.verify import verify_session_chain  # noqa: F401
+from repro.cfa.speccfa import expand  # noqa: F401
 
 
 class FleetService:
@@ -187,23 +198,32 @@ class FleetService:
             if self.policy is not None and not self.policy.admits(device_id):
                 self.metrics.sessions_denied += 1
                 raise PolicyDeniedError(self.policy.deny_reason(device_id))
-            epoch = self._acks.get((device_id, profile), 0)
-            dict_epoch = self.registry.get(profile, epoch)
             try:
-                session = self.manager.open(device_id, profile, key, now,
-                                            dict_epoch=dict_epoch)
+                session = self._open_locked(device_id, profile, key, now)
             except Exception:
                 self.metrics.sessions_refused += 1
                 raise
-            self.metrics.sessions_opened += 1
             return session.challenge
+
+    def _open_locked(self, device_id: str, profile: DeviceProfile,
+                     key: bytes, now: float,
+                     healing: bool = False) -> Session:
+        """Open a session pinned to the device's last ACKed epoch."""
+        epoch = self._acks.get((device_id, profile), 0)
+        session = self.manager.open(
+            device_id, profile, key, now,
+            dict_epoch=self.registry.get(profile, epoch))
+        session.healing = healing
+        self.metrics.sessions_opened += 1
+        return session
 
     def submit(self, device_id: str, data: bytes, now: float = 0.0) -> None:
         """Ingest one wire-encoded report from a device.
 
         Cheap protocol checks happen inline; a report that completes
-        its session's chain dispatches verification (possibly blocking
-        on backpressure — see the module docstring).
+        its session's chain authenticates it, screens it and dispatches
+        its replay (possibly blocking on backpressure — see the module
+        docstring).
         """
         with self._lock:
             if self.policy is not None and not self.policy.admits(device_id):
@@ -225,20 +245,8 @@ class FleetService:
             if session is None:
                 return
             if session.state == REJECTED and session.verdict is None:
-                self._record_locked(session, SessionVerdict(
-                    device_id=session.device_id, profile=session.profile,
-                    accepted=False, reason=session.reject_reason,
-                    reports=len(session.chunks)))
+                self._reject_locked(session, session.reject_reason)
                 return
-            if session.state == QUEUED and self.bounds is not None:
-                reason = self._screen_bounds_locked(session)
-                if reason is not None:
-                    self.metrics.sessions_bounds_rejected += 1
-                    self._record_locked(session, SessionVerdict(
-                        device_id=session.device_id,
-                        profile=session.profile, accepted=False,
-                        reason=reason, reports=len(session.chunks)))
-                    return
         if session.state == QUEUED:
             self._dispatch(session)
 
@@ -250,10 +258,7 @@ class FleetService:
             rechallenged, expired = self.manager.tick(now)
             self.metrics.sessions_retried += len(rechallenged)
             for session in expired:
-                self._record_locked(session, SessionVerdict(
-                    device_id=session.device_id, profile=session.profile,
-                    accepted=False, reason=session.reject_reason,
-                    reports=len(session.chunks)))
+                self._reject_locked(session, session.reject_reason)
             return [(s.device_id, s.challenge) for s in rechallenged]
 
     # -- crash recovery -----------------------------------------------------
@@ -290,11 +295,7 @@ class FleetService:
                                                      store=self.store)
             with self._lock:
                 self.metrics.policy_decisions += replayed + repaired
-                if self.store is not None:
-                    self.metrics.evidence_records = (
-                        self.store.records_appended)
-                    self.metrics.evidence_bytes = self.store.bytes_appended
-                    self.metrics.evidence_fsyncs = self.store.fsyncs
+                self._store_metrics_locked()
         return len(session_records)
 
     # -- adaptive speculation: epoch handshake ------------------------------
@@ -344,25 +345,21 @@ class FleetService:
         epoch; the current one stays on the epoch it was opened with.
         """
         with self._lock:
+            session = self.manager.sessions.get(device_id)
+            entry = None
             try:
                 acked_id, epoch, digest, mac = decode_dack_frame(data)
+                # no session on file means no key to check the MAC with
+                if acked_id == device_id and session is not None:
+                    entry = verify_dack(self.registry, session.profile,
+                                        session.key, device_id, epoch,
+                                        digest, mac)
             except WireError:
-                self.metrics.dict_acks_rejected += 1
-                return False
-            if acked_id != device_id:
-                self.metrics.dict_acks_rejected += 1
-                return False
-            session = self.manager.sessions.get(device_id)
-            if session is None:  # never opened a session: no key on file
-                self.metrics.dict_acks_rejected += 1
-                return False
-            entry = verify_dack(self.registry, session.profile,
-                                session.key, device_id, epoch, digest,
-                                mac)
+                pass
             if entry is None:
                 self.metrics.dict_acks_rejected += 1
                 return False
-            pin = (device_id, session.profile)
+            pin = (device_id, entry.profile)
             # monotone: a replayed older ACK can never roll a device back
             if entry.epoch <= self._acks.get(pin, 0):
                 return True
@@ -417,17 +414,11 @@ class FleetService:
                 return None
             if self.store is not None:
                 self.store.append_decision(decision)
-                self.metrics.evidence_records = self.store.records_appended
-                self.metrics.evidence_bytes = self.store.bytes_appended
-                self.metrics.evidence_fsyncs = self.store.fsyncs
+                self._store_metrics_locked()
             self.policy.apply(decision)
             self._count_decision_locked(decision)
-            epoch = self._acks.get((device_id, decision.profile), 0)
-            dict_epoch = self.registry.get(decision.profile, epoch)
-            session = self.manager.open(device_id, decision.profile, key,
-                                        now, dict_epoch=dict_epoch)
-            session.healing = True
-            self.metrics.sessions_opened += 1
+            session = self._open_locked(device_id, decision.profile, key,
+                                        now, healing=True)
             frame = build_heal_frame(
                 key, device_id, decision.heal_attempt,
                 decision.policy_epoch, decision.measurement,
@@ -458,12 +449,8 @@ class FleetService:
                 return None
             session = self.manager.sessions.get(device_id)
             if session is None or not session.active:
-                epoch = self._acks.get((device_id, profile), 0)
-                dict_epoch = self.registry.get(profile, epoch)
-                session = self.manager.open(device_id, profile, key,
-                                            now, dict_epoch=dict_epoch)
-                session.healing = True
-                self.metrics.sessions_opened += 1
+                session = self._open_locked(device_id, profile, key, now,
+                                            healing=True)
             frame = build_heal_frame(
                 key, device_id, attempt, policy_epoch, measurement,
                 session.challenge.nonce)
@@ -481,25 +468,12 @@ class FleetService:
             self.metrics.policy_notices += 1
             return build_policy_frame(key, device_id, state, reason, epoch)
 
-    def _sample_locked(self, session: Session,
-                       verdict: SessionVerdict) -> None:
-        """Feed one accepted session's expanded stream to the sampler."""
-        records = []
-        for report in session.reports:
-            records.extend(report.cflog.records)
-        if session.dictionary:
-            try:
-                records = expand(records, session.dictionary)
-            except ValueError:  # unreachable: accepted implies expanded
-                return
-        digest = (bytes.fromhex(verdict.records_digest)
-                  if verdict.records_digest else None)
-        self.sampler.observe(session.profile, records, digest=digest)
-
     # -- admission pre-check: certified path bounds ------------------------
 
-    def _screen_bounds_locked(self, session: Session) -> Optional[str]:
-        """Screen a completed chain against its image's `BNDS1` bound.
+    def _screen_bounds(self, session: Session,
+                       stream: SessionStream) -> Optional[str]:
+        """Screen an authenticated chain against its image's `BNDS1`
+        bound.
 
         Purely a fast-path rejection: the certificate is pinned to one
         image digest, so the screen only applies when the chain claims
@@ -509,31 +483,34 @@ class FleetService:
         """
         cert = self.bounds.get(session.profile.workload,
                                session.profile.method)
-        if cert is None:
+        if cert is None or session.reports[0].h_mem != cert.image_digest:
             return None
-        if not session.reports \
-                or session.reports[0].h_mem != cert.image_digest:
-            return None
-        records = session.admission_records()
-        if records is None:
-            return None
-        return screen_records(cert, records)
+        return screen_records(cert, stream.records)
 
     # -- verification fan-out -----------------------------------------------
 
     def _dispatch(self, session: Session) -> None:
-        chunks = tuple(session.chunks)
-        args = (session.device_id, session.profile, session.key,
-                session.bound_challenge, chunks)
-        dictionary = session.dictionary
+        t0 = time.perf_counter()
+        stream = authenticate_session(
+            session.device_id, session.profile, session.key,
+            session.bound_challenge, session.reports, session.dictionary)
+        if isinstance(stream, SessionVerdict):  # never screened or replayed
+            self._record(session, stream, time.perf_counter() - t0)
+            return
+        if self.bounds is not None:
+            reason = self._screen_bounds(session, stream)
+            if reason is not None:
+                with self._lock:
+                    self.metrics.sessions_bounds_rejected += 1
+                    self._reject_locked(session, reason)
+                return
         if self._pool is None:
-            t0 = time.perf_counter()
             info: Dict[str, bool] = {}
-            verdict = verify_session_chain(
-                *args, cache=self._cache, reports=tuple(session.reports),
-                info=info, dictionary=dictionary)
+            verdict = settle_session(session.device_id, session.profile,
+                                     stream, cache=self._cache, info=info)
             self._record(session, verdict, time.perf_counter() - t0,
-                         cache_hit=info.get("cache_hit", False))
+                         cache_hit=info.get("cache_hit", False),
+                         stream=stream)
             return
         self._slots.acquire()  # backpressure: block until a slot frees
         with self._lock:
@@ -541,15 +518,16 @@ class FleetService:
             self.metrics.queue_depth += 1
             self.metrics.queue_depth_max = max(
                 self.metrics.queue_depth_max, self.metrics.queue_depth)
-        t0 = time.perf_counter()
-        # bytes cross the process boundary; the worker decodes
+        # the expanded stream crosses the process boundary as bytes
         future = self._pool.submit(
-            pool_verify, *args, self.use_replay_cache, dictionary)
+            pool_settle, session.device_id, session.profile, session.key,
+            stream.packed, stream.digest, stream.reports,
+            self.use_replay_cache)
         future.add_done_callback(
-            lambda fut: self._harvest(session, t0, fut))
+            lambda fut: self._harvest(session, t0, fut, stream))
 
-    def _harvest(self, session: Session, t0: float,
-                 future: Future) -> None:
+    def _harvest(self, session: Session, t0: float, future: Future,
+                 stream: SessionStream) -> None:
         self._slots.release()
         hits = misses = 0
         try:
@@ -569,18 +547,34 @@ class FleetService:
             self._worker_misses += misses
             self.metrics.verify_latencies_s.append(
                 time.perf_counter() - t0)
-            self._record_locked(session, verdict, cache_hit=cache_hit)
+            self._record_locked(session, verdict, cache_hit=cache_hit,
+                                stream=stream)
             if self._inflight == 0:
                 self._idle.notify_all()
 
+    def _store_metrics_locked(self) -> None:
+        if self.store is not None:
+            self.metrics.evidence_records = self.store.records_appended
+            self.metrics.evidence_bytes = self.store.bytes_appended
+            self.metrics.evidence_fsyncs = self.store.fsyncs
+
+    def _reject_locked(self, session: Session, reason: str) -> None:
+        """Settle a session rejected before replay."""
+        self._record_locked(session, SessionVerdict(
+            device_id=session.device_id, profile=session.profile,
+            accepted=False, reason=reason, reports=len(session.chunks)))
+
     def _record(self, session: Session, verdict: SessionVerdict,
-                latency_s: float, cache_hit: bool = False) -> None:
+                latency_s: float, cache_hit: bool = False,
+                stream: Optional[SessionStream] = None) -> None:
         with self._lock:
             self.metrics.verify_latencies_s.append(latency_s)
-            self._record_locked(session, verdict, cache_hit=cache_hit)
+            self._record_locked(session, verdict, cache_hit=cache_hit,
+                                stream=stream)
 
     def _record_locked(self, session: Session, verdict: SessionVerdict,
-                       cache_hit: bool = False) -> None:
+                       cache_hit: bool = False,
+                       stream: Optional[SessionStream] = None) -> None:
         # durability first: the evidence record (cache hits included —
         # a replayed verdict is still a verdict) must be fsync'd into
         # the hash chain before anything observes the verdict. If the
@@ -598,11 +592,11 @@ class FleetService:
                 measurement=measurement,
                 healing=session.healing,
             )
-            self.metrics.evidence_records = self.store.records_appended
-            self.metrics.evidence_bytes = self.store.bytes_appended
-            self.metrics.evidence_fsyncs = self.store.fsyncs
-        if self.sampler is not None and verdict.accepted:
-            self._sample_locked(session, verdict)
+            self._store_metrics_locked()
+        if self.sampler is not None and stream is not None \
+                and verdict.accepted:
+            self.sampler.observe(session.profile, stream.records,
+                                 digest=stream.digest)
         if self.policy is not None:
             # the fold's input is the *persisted* record (live and
             # crash-recovery paths thus run the same code over the same
@@ -618,10 +612,8 @@ class FleetService:
                 if self.store is not None:
                     self.store.append_decision(decision)
                 self._count_decision_locked(decision)
-            if decisions and self.store is not None:
-                self.metrics.evidence_records = self.store.records_appended
-                self.metrics.evidence_bytes = self.store.bytes_appended
-                self.metrics.evidence_fsyncs = self.store.fsyncs
+            if decisions:
+                self._store_metrics_locked()
         session.verdict = verdict
         if session.state == EXPIRED:
             self.metrics.sessions_expired += 1

@@ -23,10 +23,13 @@ service paths identical. It owns:
   ``idle_timeout`` logical seconds is re-challenged (fresh nonce,
   chain discarded) up to ``max_attempts`` times, then expired.
 
-Structural checks here are *pre-filters*: the authoritative verdict
-always comes from replaying the accepted chain through
-:func:`~repro.cfa.fleet.verify.verify_session_chain`, which re-checks
-MACs, challenge, and sequencing from scratch.
+Structural checks here are *pre-filters* over the reports ingest
+decoded. They check no MAC: once the chain is complete, the service
+hands those same decoded reports to
+:func:`~repro.cfa.fleet.verify.authenticate_session`, which checks
+every MAC over the received bytes, the challenge, ``H_MEM`` and the
+sequence, and only an authenticated chain is ever screened or
+replayed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from repro.cfa.protocol import Challenge
 from repro.cfa.fleet.dictver import DictEpoch, spec_challenge
 from repro.cfa.fleet.verify import DeviceProfile, SessionVerdict
 from repro.cfa.report import Report
-from repro.cfa.speccfa import SubPathDict, expand
+# ``expand`` is not called here: perfbench/tracer.py patches the name
+from repro.cfa.speccfa import SubPathDict, expand  # noqa: F401
 from repro.cfa.wire import WireError, decode_report
 
 # session lifecycle states
@@ -82,8 +86,9 @@ class Session:
     dict_digest: bytes = b""
     dictionary: Optional[SubPathDict] = None
     chunks: List[bytes] = field(default_factory=list)  # accepted, in order
-    #: the decoded twins of ``chunks`` — ingest already paid for the
-    #: decode, so in-process verification need not decode again
+    #: ``chunks`` as ingest decoded them, each keeping the bytes it was
+    #: decoded from: authentication reads these, so no report is
+    #: decoded twice
     reports: List[Report] = field(default_factory=list)
     #: reorder-window holding area: seq -> (bytes, decoded report)
     buffered: Dict[int, Tuple[bytes, Report]] = field(default_factory=dict)
@@ -108,21 +113,6 @@ class Session:
         MACs pin the session to exactly one dictionary version)."""
         return spec_challenge(self.challenge.nonce, self.epoch,
                               self.dict_digest)
-
-    def admission_records(self) -> Optional[list]:
-        """The chain's claimed records, dictionary-expanded — what the
-        `BNDS1` admission screen inspects before replay is paid for.
-        ``None`` when expansion fails (the chain references unknown
-        dictionary entries; replay will reject it authoritatively)."""
-        records = []
-        for report in self.reports:
-            records.extend(report.cflog.records)
-        if self.dictionary:
-            try:
-                records = expand(records, self.dictionary)
-            except ValueError:
-                return None
-        return records
 
 
 class SessionManager:
@@ -288,20 +278,16 @@ class SessionManager:
             return self._reject(
                 session, self._diagnose_challenge(session, report))
         seq = report.seq
-        if seq < session.next_seq:  # duplicate of an accepted report
-            if session.chunks[seq] == data:
-                session.duplicates += 1
-                self.duplicates_dropped += 1
-                return session
-            return self._reject(
-                session, f"conflicting duplicate of report #{seq}")
-        if seq in session.buffered:  # duplicate of a buffered report
-            if session.buffered[seq][0] == data:
-                session.duplicates += 1
-                self.duplicates_dropped += 1
-                return session
-            return self._reject(
-                session, f"conflicting duplicate of report #{seq}")
+        if seq < session.next_seq or seq in session.buffered:
+            # a duplicate of an accepted or a buffered report
+            seen = (session.chunks[seq] if seq < session.next_seq
+                    else session.buffered[seq][0])
+            if seen != data:
+                return self._reject(
+                    session, f"conflicting duplicate of report #{seq}")
+            session.duplicates += 1
+            self.duplicates_dropped += 1
+            return session
         if session.final_seq is not None and seq > session.final_seq:
             return self._reject(
                 session,

@@ -67,7 +67,6 @@ before the tail is tamper and raises :class:`EvidenceError`.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 import struct
 from dataclasses import dataclass
@@ -81,6 +80,7 @@ from repro.cfa.fleet.verify import (
     _ReplaySummary,
 )
 from repro.codec import Reader, Writer
+from repro.crypto.mac import check, sign
 from repro.eval.cache import ArtifactCache
 
 EVIDENCE_MAGIC = b"EVD1"
@@ -335,10 +335,6 @@ def _decode_policy_body(reader: Reader, body: bytes,
     )
 
 
-def _record_mac(key: bytes, prev_digest: bytes, body: bytes) -> bytes:
-    return hmac.new(key, prev_digest + body, hashlib.sha256).digest()
-
-
 def _parse(data: bytes, key: bytes
            ) -> Tuple[List[Union[EvidenceRecord, PolicyRecord]], int,
                       Optional[str]]:
@@ -372,7 +368,7 @@ def _parse(data: bytes, key: bytes
         prev_digest = reader.take(_DIGEST_LEN)
         mac = reader.take(_DIGEST_LEN)
         body = reader.take(frame_len - _MIN_FRAME)
-        if not hmac.compare_digest(mac, _record_mac(key, prev_digest, body)):
+        if not check(key, mac, prev_digest + body):
             raise EvidenceError(f"MAC mismatch on frame at {pos}")
         record = _decode_body(body, prev_digest, mac, version)
         seq, expected_prev = heads.get(record.device_id, (0, GENESIS))
@@ -475,8 +471,7 @@ class EvidenceStore:
                             expired, seq, epoch=epoch,
                             version=self.version,
                             measurement=measurement, healing=healing)
-        self._append_frame(device_id, seq, prev_digest, body)
-        mac = _record_mac(self.key, prev_digest, body)
+        mac = self._append_frame(device_id, seq, prev_digest, body)
         return _decode_body(body, prev_digest, mac, self.version)
 
     def append_decision(self, decision) -> PolicyRecord:
@@ -498,15 +493,15 @@ class EvidenceStore:
         device_id = decision.device_id
         seq, prev_digest = self._heads.get(device_id, (0, GENESIS))
         body = _encode_policy_body(decision, seq)
-        self._append_frame(device_id, seq, prev_digest, body)
-        mac = _record_mac(self.key, prev_digest, body)
+        mac = self._append_frame(device_id, seq, prev_digest, body)
         record = _decode_body(body, prev_digest, mac, self.version)
         assert isinstance(record, PolicyRecord)
         return record
 
     def _append_frame(self, device_id: str, seq: int,
-                      prev_digest: bytes, body: bytes) -> None:
-        mac = _record_mac(self.key, prev_digest, body)
+                      prev_digest: bytes, body: bytes) -> bytes:
+        """Append one MAC'd frame durably; returns its MAC."""
+        mac = sign(self.key, prev_digest + body)
         frame = prev_digest + mac + body
         try:
             self._fh.write(Writer(EvidenceError).lp(frame).getvalue())
@@ -528,6 +523,7 @@ class EvidenceStore:
         self._heads[device_id] = (seq + 1, digest)
         self.records_appended += 1
         self.bytes_appended += 4 + len(frame)
+        return mac
 
     # -- reading ------------------------------------------------------------
 
@@ -540,10 +536,6 @@ class EvidenceStore:
         """device id -> chain-head digest, for every recorded device."""
         return {device: digest for device, (_, digest)
                 in self._heads.items()}
-
-    @property
-    def device_count(self) -> int:
-        return len(self._heads)
 
     def records(self) -> Iterator[EvidenceRecord]:
         """Re-read and strictly verify every record from disk."""

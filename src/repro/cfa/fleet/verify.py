@@ -1,13 +1,11 @@
-"""The single session-verification primitive behind the fleet service.
-
-One attestation *session* is a device's whole wire-encoded report
-chain; verifying it means running the exact serial machinery —
-:class:`~repro.cfa.streaming.StreamingVerifier` fed one report at a
-time — and folding the outcome into a :class:`SessionVerdict`, a pure
-picklable value. The in-process path and the worker-pool path both
-call :func:`verify_session_chain`, so serial and concurrent fleet
-verification cannot drift apart (the same discipline
-``eval/parallel.py`` applies to evaluation cells).
+"""Session verification behind the fleet service, in two steps done
+once per session: :func:`authenticate_session` authenticates a chain
+through :class:`~repro.cfa.streaming.StreamingVerifier`, expands and
+digests it into one :class:`SessionStream` (which the `BNDS1` screen,
+the replay cache, the evidence record and the traffic sampler all
+read), and :func:`settle_session` replays that stream into a
+:class:`SessionVerdict`, a pure picklable value.
+:func:`verify_session_chain` runs both over wire bytes.
 
 Worker processes rebuild the Vrf-side artifacts (linked image + bound
 rewrite map) themselves from the device *profile*; the offline phase
@@ -23,12 +21,19 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from repro.cfa.speccfa import SpecRecord, SubPathDict, expand
-from repro.cfa.streaming import StreamError, StreamingVerifier
-from repro.cfa.verifier import NaiveVerifier, ReplayTable, Verifier
-from repro.cfa.wire import WireError
+from repro.cfa.cflog import Record
+from repro.cfa.report import Report
+from repro.cfa.speccfa import SpecRecord, SubPathDict, expand, expand_packed
+from repro.cfa.streaming import StreamError, StreamingVerifier, decode_received
+from repro.cfa.verifier import (
+    NaiveVerifier,
+    ReplayTable,
+    ReplayVerifier,
+    Verifier,
+)
+from repro.cfa.wire import WireError, decode_records
 from repro.crypto.hashing import measure_image
 from repro.eval.runner import prepare
 from repro.workloads import load_workload
@@ -79,6 +84,12 @@ def path_digest(path: Sequence[int]) -> str:
     """Order-sensitive digest of a replayed path: SHA-256 over its pcs
     as little-endian u32s (replay only walks 32-bit code addresses)."""
     return hashlib.sha256(struct.pack(f"<{len(path)}I", *path)).hexdigest()
+
+
+def records_digest(packed: bytes) -> bytes:
+    """SHA-256 over a record stream's wire bytes: the replay-cache key,
+    the ``records_digest`` evidence field and the sampler's dedup key."""
+    return hashlib.sha256(packed).digest()
 
 
 @dataclass(frozen=True)
@@ -142,10 +153,9 @@ class ReplayCache:
         #: estimated bytes of the entries held
         self.bytes = 0
 
-    @staticmethod
-    def key(records) -> bytes:
-        return hashlib.sha256(
-            b"".join(r.pack() for r in records)).digest()
+    #: entries are keyed by the stream's :func:`records_digest` (an
+    #: attribute of the class so perfbench/tracer.py can patch it)
+    key = staticmethod(records_digest)
 
     def lookup(self, profile: DeviceProfile,
                key: bytes) -> Optional[_ReplaySummary]:
@@ -234,38 +244,28 @@ def build_verifier(profile: DeviceProfile, key: bytes):
     return Verifier(image, bound, key, table=table, expected_h_mem=h_mem)
 
 
-def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
-                         challenge: bytes, chunks: Sequence[bytes],
-                         cache: Optional[ReplayCache] = None,
-                         reports: Optional[Sequence] = None,
-                         info: Optional[dict] = None,
+@dataclass(frozen=True)
+class SessionStream:
+    """One session's authenticated chain, expanded and digested once."""
+
+    verifier: ReplayVerifier
+    records: Sequence[Record]
+    packed: bytes
+    digest: bytes
+    reports: int
+
+
+def authenticate_session(device_id: str, profile: DeviceProfile,
+                         key: bytes, challenge: bytes,
+                         reports: Iterable[Report],
                          dictionary: Optional[SubPathDict] = None
-                         ) -> SessionVerdict:
-    """Verify one complete session chain exactly as the serial Vrf would.
-
-    ``chunks`` are the session's wire-encoded reports in sequence
-    order; when the caller already decoded them (the session manager
-    does, for its protocol pre-filters), passing the decoded twins as
-    ``reports`` skips the redundant wire decode — decoding is
-    deterministic, so both forms yield the same verdict.
-    Authentication (MACs, challenge, ``H_MEM``, sequencing) always runs
-    per session; with a ``cache``, only the pure replay step is shared
-    between identical chains — the cached and uncached paths produce
-    ``==`` verdicts. Never raises: wire damage and protocol violations
-    come back as a rejected verdict so a poisoned session cannot take a
-    worker (or the service thread) down with it.
-
-    ``dictionary`` is the speculation dictionary of the session's
-    pinned epoch: after authentication, speculated tokens in the
-    record stream are expanded through it before replay. The replay
-    cache is keyed by the digest of the **expanded** stream, so a
-    compressed session and a plain session of the same execution
-    share one cached replay — and produce ``==`` verdicts.
-
-    ``info``, when supplied, receives side-band facts that must *not*
-    influence verdict equality — currently ``info["cache_hit"]``, True
-    iff the replay half came from the cache. The evidence store uses
-    it to annotate (never skip) the record for a cache-served verdict.
+                         ) -> Union[SessionStream, SessionVerdict]:
+    """Authenticate one session's decoded ``reports`` (in sequence
+    order), then expand them through the session's pinned
+    ``dictionary`` and digest the **expanded** stream, so compressed
+    and plain sessions of one execution share a cached replay. Never
+    raises: a chain that fails authentication or names an unknown
+    sub-path comes back as its rejected verdict, and is never replayed.
     """
     try:
         verifier = build_verifier(profile, key)
@@ -275,81 +275,93 @@ def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
             reason=f"no verifier for profile {profile}: {exc}")
     stream = StreamingVerifier(verifier, challenge)
     try:
-        if reports is not None:
-            for report in reports:
-                stream.feed(report)
-        else:
-            for chunk in chunks:
-                stream.feed_bytes(chunk)
-        if not stream.finished:
-            raise StreamError("final report not yet received")
-        records = stream.records
-        if dictionary or any(isinstance(r, SpecRecord) for r in records):
-            # expansion only after every report authenticated; a token
-            # naming an unknown sub-path (wrong/missing dictionary) is
-            # an explicit rejection, never a silent mis-expansion
+        for report in reports:
+            stream.feed(report)
+        stream.close()
+        records, packed = stream.records, b"".join(stream.packed)
+        if dictionary or any(type(r) is SpecRecord for r in records):
             try:
                 records = expand(records, dictionary or {})
             except ValueError as exc:
                 raise StreamError(
                     f"speculation expansion failed: {exc}") from None
-        key_digest = ReplayCache.key(records)
-        if cache is not None:
-            summary = cache.lookup(profile, key_digest)
-            if info is not None:
-                info["cache_hit"] = summary is not None
-            if summary is None:
-                summary = _summarize(_replay(verifier, records))
-                cache.store(profile, key_digest, summary)
-        else:
-            summary = _summarize(_replay(verifier, records))
+            packed = expand_packed(stream.records, packed, dictionary or {})
     except (WireError, StreamError) as exc:
         return SessionVerdict(
             device_id=device_id, profile=profile, accepted=False,
             reason=str(exc), reports=stream.partials_accepted)
+    return SessionStream(verifier=verifier, records=records, packed=packed,
+                         digest=ReplayCache.key(packed),
+                         reports=stream.partials_accepted)
+
+
+def settle_session(device_id: str, profile: DeviceProfile,
+                   stream: SessionStream,
+                   cache: Optional[ReplayCache] = None,
+                   info: Optional[dict] = None) -> SessionVerdict:
+    """The verdict on an authenticated session: its replay, shared
+    through ``cache`` between identical streams (cached or not, the
+    verdicts are ``==``). ``info["cache_hit"]`` receives a side-band
+    fact the evidence store records but verdict equality ignores."""
+    summary: Optional[_ReplaySummary] = None
+    if cache is not None:
+        summary = cache.lookup(profile, stream.digest)
+        if info is not None:
+            info["cache_hit"] = summary is not None
+    if summary is None:
+        summary = _summarize(stream.verifier.replay(stream.records))
+        if cache is not None:
+            cache.store(profile, stream.digest, summary)
     return SessionVerdict(
         device_id=device_id,
         profile=profile,
-        # every report authenticated on feed; ok = replay clean on top
+        # every report authenticated; ok = replay clean on top
         accepted=summary.lossless and not summary.violations,
         authenticated=True,
         lossless=summary.lossless,
         violations=summary.violations,
         reason=summary.error,
-        reports=len(chunks),
+        reports=stream.reports,
         records=summary.consumed,
         path_len=summary.path_len,
         path_digest=summary.path_digest,
-        records_digest=key_digest.hex(),
+        records_digest=stream.digest.hex(),
     )
 
 
-def _replay(verifier, records):
-    """Replay an authenticated (and expanded) record stream."""
-    outcome = verifier.replay(records)
-    outcome.authenticated = True  # each report was checked on feed
-    return outcome
+def verify_session_chain(device_id: str, profile: DeviceProfile, key: bytes,
+                         challenge: bytes, chunks: Sequence[bytes],
+                         cache: Optional[ReplayCache] = None,
+                         info: Optional[dict] = None,
+                         dictionary: Optional[SubPathDict] = None
+                         ) -> SessionVerdict:
+    """Verify one session chain from its wire-encoded reports, in
+    sequence order, each decoded as authentication reaches it. Never
+    raises (see :func:`authenticate_session` and
+    :func:`settle_session`)."""
+    stream = authenticate_session(device_id, profile, key, challenge,
+                                  map(decode_received, chunks), dictionary)
+    if isinstance(stream, SessionVerdict):
+        return stream
+    return settle_session(device_id, profile, stream, cache, info)
 
 
 # the worker-side replay cache (one per process, like _ARTIFACTS)
 _WORKER_CACHE = ReplayCache()
 
 
-def pool_verify(device_id: str, profile: DeviceProfile, key: bytes,
-                challenge: bytes, chunks: Sequence[bytes],
-                use_cache: bool,
-                dictionary: Optional[SubPathDict] = None
-                ) -> Tuple[SessionVerdict, int, int]:
-    """Worker-pool entry point (module-level for pickling).
-
-    Returns ``(verdict, cache_hits_delta, cache_misses_delta)`` so the
-    service can aggregate worker-side cache effectiveness.
-    """
-    cache = _WORKER_CACHE if use_cache else None
+def pool_settle(device_id: str, profile: DeviceProfile, key: bytes,
+                packed: bytes, digest: bytes, reports: int,
+                use_cache: bool) -> Tuple[SessionVerdict, int, int]:
+    """Worker-pool entry point: settle a session the service already
+    authenticated, whose expanded stream crosses as wire bytes.
+    Returns ``(verdict, cache_hits_delta, cache_misses_delta)``."""
+    stream = SessionStream(
+        verifier=build_verifier(profile, key),
+        records=decode_records(packed), packed=packed, digest=digest,
+        reports=reports)
     hits0, misses0 = _WORKER_CACHE.hits, _WORKER_CACHE.misses
-    verdict = verify_session_chain(
-        device_id, profile, key, challenge, chunks, cache=cache,
-        dictionary=dictionary)
+    verdict = settle_session(device_id, profile, stream,
+                             _WORKER_CACHE if use_cache else None)
     return (verdict, _WORKER_CACHE.hits - hits0,
             _WORKER_CACHE.misses - misses0)
-

@@ -34,12 +34,11 @@ loop in the fleet front end, ``ShardedFleetService`` (``heal_pushes`` /
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import struct
 from typing import Optional, Tuple
 
 from repro.cfa.policy.engine import state_name
+from repro.crypto.mac import check, sign
 from repro.cfa.wire import (
     WireError,
     decode_heal_frame,
@@ -49,27 +48,31 @@ from repro.cfa.wire import (
 )
 
 
+def _heal_signed(device_id: str, attempt: int, policy_epoch: int,
+                 measurement: bytes, nonce: bytes) -> bytes:
+    return (b"heal-order|" + device_id.encode()
+            + struct.pack("<II", attempt, policy_epoch)
+            + struct.pack("<I", len(measurement)) + measurement + nonce)
+
+
+def _notice_signed(device_id: str, state: str, reason: str,
+                   policy_epoch: int) -> bytes:
+    return (b"policy-notice|" + device_id.encode() + b"|" + state.encode()
+            + b"|" + reason.encode() + struct.pack("<I", policy_epoch))
+
+
 def heal_mac(key: bytes, device_id: str, attempt: int,
              policy_epoch: int, measurement: bytes,
              nonce: bytes) -> bytes:
     """The MAC a Vrf puts on a healing order (device attestation key)."""
-    return hmac.new(
-        key,
-        b"heal-order|" + device_id.encode()
-        + struct.pack("<II", attempt, policy_epoch)
-        + struct.pack("<I", len(measurement)) + measurement
-        + nonce,
-        hashlib.sha256).digest()
+    return sign(key, _heal_signed(device_id, attempt, policy_epoch,
+                                  measurement, nonce))
 
 
 def policy_notice_mac(key: bytes, device_id: str, state: str,
                       reason: str, policy_epoch: int) -> bytes:
     """The MAC a Vrf puts on a lifecycle notice (device key)."""
-    return hmac.new(
-        key,
-        b"policy-notice|" + device_id.encode() + b"|" + state.encode()
-        + b"|" + reason.encode() + struct.pack("<I", policy_epoch),
-        hashlib.sha256).digest()
+    return sign(key, _notice_signed(device_id, state, reason, policy_epoch))
 
 
 def build_heal_frame(key: bytes, device_id: str, attempt: int,
@@ -98,9 +101,8 @@ def verify_heal_frame(key: bytes, device_id: str,
         return None
     if framed_id != device_id:
         return None
-    if not hmac.compare_digest(
-            mac, heal_mac(key, device_id, attempt, policy_epoch,
-                          measurement, nonce)):
+    if not check(key, mac, _heal_signed(device_id, attempt, policy_epoch,
+                                        measurement, nonce)):
         return None
     return attempt, policy_epoch, measurement, nonce
 
@@ -128,8 +130,7 @@ def verify_policy_frame(key: bytes, device_id: str,
         return None
     if framed_id != device_id:
         return None
-    if not hmac.compare_digest(
-            mac, policy_notice_mac(key, device_id, state, reason,
-                                   policy_epoch)):
+    if not check(key, mac, _notice_signed(device_id, state, reason,
+                                         policy_epoch)):
         return None
     return state, reason, policy_epoch

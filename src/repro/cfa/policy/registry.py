@@ -28,7 +28,6 @@ to load rather than silently admitting revoked firmware.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +36,7 @@ from typing import List, Optional, Tuple, Union
 from repro.cfa.epochs import EpochRegistry
 from repro.cfa.fleet.verify import DeviceProfile
 from repro.codec import Reader, Writer
+from repro.crypto.mac import check, sign
 
 POLICY_MAGIC = b"FWP1"
 POLICY_VERSION = 1
@@ -123,15 +123,14 @@ class PolicyRegistry(EpochRegistry[PolicyDoc]):
             profile=profile, epoch=epoch, pinned=pinned, allowed=allowed,
             revoked=revoked, payload=payload,
             digest=hashlib.sha256(payload).digest(),
-            mac=hmac.new(self.key, payload, hashlib.sha256).digest())
+            mac=sign(self.key, payload))
 
     def _read(self, path: Path) -> PolicyDoc:
         blob = path.read_bytes()
         if len(blob) < _MAC_LEN:
             raise PolicyError(f"policy file {path.name} too short")
         payload, mac = blob[:-_MAC_LEN], blob[-_MAC_LEN:]
-        if not hmac.compare_digest(
-                mac, hmac.new(self.key, payload, hashlib.sha256).digest()):
+        if not check(self.key, mac, payload):
             raise PolicyError(
                 f"policy file {path.name} failed MAC verification")
         return self._doc(payload)

@@ -26,6 +26,13 @@ class Report:
     final: bool
     cflog: CFLog
     mac: bytes = b""
+    #: for a report decoded from the wire, the exact bytes it was
+    #: decoded from (empty for a report built in memory). The stream
+    #: authenticator checks the MAC over these bytes, so a decoded
+    #: report must not be edited afterwards; it is not an init field,
+    #: so ``dataclasses.replace`` drops it.
+    received: bytes = field(default=b"", init=False, repr=False,
+                            compare=False)
 
     def _fields(self):
         return (
@@ -43,6 +50,8 @@ class Report:
         return self
 
     def verify(self, key: bytes) -> bool:
+        # verifiers never call this: StreamingVerifier authenticates
+        # the received bytes instead of re-encoding the fields
         return verify_mac(key, self.mac, *self._fields())
 
 
@@ -64,10 +73,6 @@ class AttestationResult:
         return self.reports[-1]
 
     @property
-    def challenge(self) -> bytes:
-        return self.final_report.challenge
-
-    @property
     def cflog(self) -> CFLog:
         """The full log: all partial reports concatenated in order."""
         merged = CFLog()
@@ -82,17 +87,3 @@ class AttestationResult:
     @property
     def partial_report_count(self) -> int:
         return max(0, len(self.reports) - 1)
-
-    def verify_chain(self, key: bytes) -> bool:
-        """Check MACs, sequencing, and challenge consistency."""
-        if not self.reports:
-            return False
-        challenge = self.reports[0].challenge
-        for seq, report in enumerate(self.reports):
-            if report.seq != seq or report.challenge != challenge:
-                return False
-            if report.final != (seq == len(self.reports) - 1):
-                return False
-            if not report.verify(key):
-                return False
-        return True

@@ -15,16 +15,16 @@ This module implements the core of that idea over our record streams:
 * :func:`speculate_result` — Prv-side: rewrite an attestation's report
   chain with compressed logs (re-signed, so authentication covers what
   is actually transmitted);
-* :class:`SpeculativeVerifier` — authenticates the compressed chain,
-  expands, and delegates to the ordinary lossless Verifier.
+* :class:`SpeculativeVerifier` — the ordinary verifier's ``verify``
+  with a dictionary: authenticate the compressed chain, expand, replay.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.cfa.cflog import (
     RECORD,
@@ -34,9 +34,11 @@ from repro.cfa.cflog import (
     LoopRecord,
     Record,
 )
-from repro.cfa.report import AttestationResult, Report
-from repro.cfa.verifier import VerificationResult, Verifier
+from repro.cfa.report import AttestationResult
 from repro.codec import Reader, Writer
+
+if TYPE_CHECKING:
+    from repro.cfa.verifier import ReplayVerifier, VerificationResult
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,14 @@ class SpecRecord:
 
 #: a dictionary of speculated sub-paths: id -> record tuple
 SubPathDict = Dict[int, Tuple[Record, ...]]
+
+
+class SubPath(tuple):
+    """A decoded sub-path that keeps its records' wire bytes, sliced
+    from the dictionary payload (see :func:`expand_packed`)."""
+
+    packed: bytes
+
 
 # -- dictionary serialization ------------------------------------------------
 #
@@ -105,13 +115,16 @@ def unpack_dictionary(payload: bytes) -> SubPathDict:
             raise ValueError(f"duplicate sub-path id {path_id}")
         if n_records == 0:
             raise ValueError(f"sub-path {path_id} is empty")
+        start = reader.pos
         pattern = []
         for tag, a, b in reader.structs(RECORD, n_records, "record"):
             cls = _PATTERN_RECORDS.get(tag)
             if cls is None:
                 raise ValueError(f"unknown sub-path record tag {tag}")
             pattern.append(cls(a, b))
-        dictionary[path_id] = tuple(pattern)
+        sub_path = SubPath(pattern)
+        sub_path.packed = payload[start:reader.pos]
+        dictionary[path_id] = sub_path
     reader.done("trailing bytes after dictionary")
     return dictionary
 
@@ -214,51 +227,39 @@ def speculate_result(result: AttestationResult, dictionary: SubPathDict,
     In a deployment the engine compresses before signing; applying the
     transform to an existing result models the same wire format.
     """
-    reports = []
-    for report in result.reports:
-        compressed = Report(
-            device_id=report.device_id,
-            method=report.method,
-            challenge=report.challenge,
-            h_mem=report.h_mem,
-            seq=report.seq,
-            final=report.final,
-            cflog=CFLog(compress(report.cflog.records, dictionary)),
-        ).sign(key)
-        reports.append(compressed)
-    return AttestationResult(
-        reports=reports,
-        cycles=result.cycles,
-        instructions=result.instructions,
-        gateway_calls=result.gateway_calls,
-        gateway_cycles=result.gateway_cycles,
-        exit_reason=result.exit_reason,
-        mtb_packets=result.mtb_packets,
-        report_cycles=result.report_cycles,
-    )
+    return replace(result, reports=[
+        replace(report, cflog=CFLog(compress(report.cflog.records,
+                                             dictionary))).sign(key)
+        for report in result.reports])
+
+
+def expand_packed(records: Sequence[Record], packed: bytes,
+                  dictionary: SubPathDict) -> bytes:
+    """The wire bytes of ``expand(records, dictionary)``, spliced from
+    ``packed``, the wire bytes of ``records`` (which :func:`expand`
+    must have accepted): each token's 9 bytes become its sub-path's
+    bytes, ``count`` times."""
+    parts: List[bytes] = []
+    start = 0
+    for index, record in enumerate(records):
+        if type(record) is SpecRecord:
+            pattern = dictionary[record.path_id]
+            pattern_bytes = getattr(pattern, "packed", None) or b"".join(
+                r.pack() for r in pattern)  # a dictionary built in memory
+            parts += [packed[start:index * RECORD.size],
+                      pattern_bytes * record.count]
+            start = (index + 1) * RECORD.size
+    return b"".join(parts + [packed[start:]]) if parts else packed
 
 
 class SpeculativeVerifier:
-    """Vrf for compressed chains: authenticate, expand, then replay."""
+    """Vrf for compressed chains: the wrapped verifier's ``verify``,
+    expanding through ``dictionary`` after authentication."""
 
-    def __init__(self, verifier: Verifier, dictionary: SubPathDict):
+    def __init__(self, verifier: "ReplayVerifier", dictionary: SubPathDict):
         self.verifier = verifier
         self.dictionary = dictionary
 
     def verify(self, result: AttestationResult,
-               challenge: bytes) -> VerificationResult:
-        authenticated = (
-            result.verify_chain(self.verifier.key)
-            and result.challenge == challenge
-            and all(r.h_mem == self.verifier.expected_h_mem
-                    for r in result.reports)
-        )
-        try:
-            expanded = expand(result.cflog.records, self.dictionary)
-        except ValueError as exc:
-            out = VerificationResult(authenticated=authenticated,
-                                     lossless=False, error=str(exc))
-            return out
-        outcome = self.verifier.replay(expanded)
-        outcome.authenticated = authenticated
-        return outcome
+               challenge: bytes) -> "VerificationResult":
+        return self.verifier.verify(result, challenge, self.dictionary)

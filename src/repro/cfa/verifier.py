@@ -5,7 +5,9 @@
 attestation key. Verification has three layers:
 
 1. **Authentication** — MAC chain, sequence numbers, challenge
-   freshness, and the expected ``H_MEM``.
+   freshness, and the expected ``H_MEM``, checked over the received
+   bytes by :class:`~repro.cfa.streaming.StreamingVerifier`. A chain
+   that fails it is never replayed.
 2. **Lossless replay** — the CFLog is replayed against the binary:
    deterministic transfers are followed statically, fixed loops are
    unrolled from their static trip counts, loop-opt loops from their
@@ -27,6 +29,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.asm.program import Image
 from repro.cfa.cflog import AddressRecord, BranchRecord, LoopRecord, Record
 from repro.cfa.report import AttestationResult
+from repro.cfa.speccfa import SubPathDict, expand
+from repro.cfa.streaming import StreamError, StreamingVerifier
+from repro.cfa.wire import WireError, encode_report
 from repro.core.loops import trip_count
 from repro.core.rewrite_map import BoundRewriteMap
 from repro.crypto.hashing import measure_image
@@ -196,39 +201,47 @@ def _segment(successor: Dict[int, int], image: Image) -> Dict[int, tuple]:
     return runs
 
 
-class Verifier:
-    """The remote Verifier for trampoline-based CFA (RAP-Track/TRACES)."""
+class ReplayVerifier:
+    """What every verifier shares: one authenticated ``verify`` and the
+    ``replay`` wrapper around the subclass's ``_replay``."""
 
-    def __init__(self, image: Image, bound_map: BoundRewriteMap, key: bytes,
+    def __init__(self, image: Image, key: bytes,
                  max_steps: int = DEFAULT_MAX_STEPS,
-                 table: Optional["ReplayTable"] = None,
                  expected_h_mem: Optional[bytes] = None):
         self.image = image
-        self.map = bound_map
         self.key = key
         self.max_steps = max_steps
-        # both are pure functions of the image: a caller that verifies
-        # many sessions of one image passes them in, computed once
-        self.table = (ReplayTable(image, bound_map) if table is None
-                      else table)
+        # a pure function of the image: a caller that verifies many
+        # sessions of one image passes it in, computed once
         self.expected_h_mem = (measure_image(image) if expected_h_mem is None
                                else expected_h_mem)
 
-    # -- top level ----------------------------------------------------------
-
-    def verify(self, result: AttestationResult,
-               challenge: bytes) -> VerificationResult:
-        """Authenticate the report chain, then reconstruct the path."""
-        authenticated = (
-            result.verify_chain(self.key)
-            and result.challenge == challenge
-            and all(r.h_mem == self.expected_h_mem for r in result.reports)
-        )
-        out = self.replay(result.cflog.records)
-        out.authenticated = authenticated
+    def verify(self, result: AttestationResult, challenge: bytes,
+               dictionary: Optional[SubPathDict] = None
+               ) -> VerificationResult:
+        """Authenticate the report chain, each report encoded once,
+        then reconstruct the path (expanded through ``dictionary``, if
+        given). A chain that fails authentication is never replayed: the
+        result has an empty path and the stream's reason as ``error``.
+        """
+        stream = StreamingVerifier(self, challenge)
+        try:
+            for report in result.reports:
+                stream.feed_bytes(encode_report(report))
+            stream.close()
+        except (WireError, StreamError) as exc:
+            return VerificationResult(authenticated=False, lossless=False,
+                                      error=str(exc))
+        records = stream.records
+        if dictionary is not None:
+            try:
+                records = expand(records, dictionary)
+            except ValueError as exc:
+                return VerificationResult(authenticated=True,
+                                          lossless=False, error=str(exc))
+        out = self.replay(records)
+        out.authenticated = True
         return out
-
-    # -- replay ------------------------------------------------------------
 
     def replay(self, records: Sequence[Record]) -> VerificationResult:
         """Reconstruct the complete execution path from the CFLog."""
@@ -240,6 +253,28 @@ class Verifier:
             result.error = str(exc)
             result.lossless = False
         return result
+
+    def _replay(self, records: Sequence[Record],
+                result: VerificationResult) -> None:
+        raise NotImplementedError
+
+
+class Verifier(ReplayVerifier):
+    """The remote Verifier for trampoline-based CFA (RAP-Track/TRACES)."""
+
+    def __init__(self, image: Image, bound_map: BoundRewriteMap, key: bytes,
+                 max_steps: int = DEFAULT_MAX_STEPS,
+                 table: Optional["ReplayTable"] = None,
+                 expected_h_mem: Optional[bytes] = None):
+        super().__init__(image, key, max_steps, expected_h_mem)
+        self.map = bound_map
+        # like H_MEM, precomputed by callers that verify many sessions
+        self.table = (ReplayTable(image, bound_map) if table is None
+                      else table)
+
+    # the shared wrapper, bound in this class's own namespace: the
+    # per-layer tracer (perfbench/tracer.py) patches Verifier.replay
+    replay = ReplayVerifier.replay
 
     def _replay(self, records: Sequence[Record],
                 result: VerificationResult) -> None:
@@ -462,38 +497,9 @@ class Verifier:
         return site + instr.size
 
 
-class NaiveVerifier:
+class NaiveVerifier(ReplayVerifier):
     """Verifier for the naive-MTB baseline: replay of the *unmodified*
     binary where every non-sequential transfer consumes one MTB packet."""
-
-    def __init__(self, image: Image, key: bytes,
-                 max_steps: int = DEFAULT_MAX_STEPS,
-                 expected_h_mem: Optional[bytes] = None):
-        self.image = image
-        self.key = key
-        self.max_steps = max_steps
-        self.expected_h_mem = (measure_image(image) if expected_h_mem is None
-                               else expected_h_mem)
-
-    def verify(self, result: AttestationResult,
-               challenge: bytes) -> VerificationResult:
-        authenticated = (
-            result.verify_chain(self.key)
-            and result.challenge == challenge
-            and all(r.h_mem == self.expected_h_mem for r in result.reports)
-        )
-        out = self.replay(result.cflog.records)
-        out.authenticated = authenticated
-        return out
-
-    def replay(self, records: Sequence[Record]) -> VerificationResult:
-        result = VerificationResult(authenticated=False, lossless=False)
-        try:
-            self._replay(records, result)
-            result.lossless = result.error is None
-        except ReplayError as exc:
-            result.error = str(exc)
-        return result
 
     def _replay(self, records: Sequence[Record],
                 result: VerificationResult) -> None:

@@ -11,6 +11,7 @@ encoding of :meth:`Record.pack`.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Tuple
 
 from repro.cfa.cflog import (
@@ -27,6 +28,9 @@ from repro.codec import Reader, Writer
 
 MAGIC = b"RAPT"
 VERSION = 1
+#: a report body starts after the magic, version and u32 body length
+_BODY = len(MAGIC) + 5
+_U32 = struct.Struct("<I")
 
 #: every record crosses the wire as the 9-byte tagged ``Record.pack``
 _RECORD_TYPES = {1: BranchRecord, 2: AddressRecord, 3: LoopRecord,
@@ -67,12 +71,7 @@ def decode_report(data: bytes) -> Tuple[Report, int]:
     final = body.u8()
     if final not in (0, 1):
         raise WireError(f"final flag must be 0 or 1, got {final}")
-    records: List[Record] = []
-    for tag, a, b in body.structs(RECORD, body.u32(), "record"):
-        cls = _RECORD_TYPES.get(tag)
-        if cls is None:
-            raise WireError(f"unknown record tag {tag}")
-        records.append(cls(a, b))
+    records = _records(body, body.u32())
     mac = body.lp_bytes()
     body.done("trailing bytes inside report body")
     report = Report(
@@ -80,7 +79,43 @@ def decode_report(data: bytes) -> Tuple[Report, int]:
         h_mem=h_mem, seq=seq, final=bool(final), cflog=CFLog(records),
         mac=mac,
     )
+    # a reference, not a copy, when ``data`` is exactly one report
+    report.received = data[:reader.pos]
     return report, reader.pos
+
+
+def mac_input(data: bytes) -> bytes:
+    """The MAC input of one report :func:`decode_report` accepted,
+    spliced from its encoding ``data``. The MAC's field fold
+    (``Report._fields``) shares the body's first four fields byte for
+    byte and its CFLog field is the body's record bytes, so only the
+    u32 lengths of ``seq`` (4), ``final`` (1) and the log are added."""
+    pos = _BODY
+    for _ in range(4):  # device id, method, challenge, H_MEM
+        pos += 4 + _U32.unpack_from(data, pos)[0]
+    start = pos + 9  # past seq, final and the record count
+    end = start + RECORD.size * _U32.unpack_from(data, pos + 5)[0]
+    return b"".join((
+        data[_BODY:pos], b"\x04\0\0\0", data[pos:pos + 4], b"\x01\0\0\0",
+        data[pos + 4:pos + 5], (end - start).to_bytes(4, "little"),
+        data[start:end]))
+
+
+def _records(reader: Reader, count: int) -> List[Record]:
+    records: List[Record] = []
+    for tag, a, b in reader.structs(RECORD, count, "record"):
+        cls = _RECORD_TYPES.get(tag)
+        if cls is None:
+            raise WireError(f"unknown record tag {tag}")
+        records.append(cls(a, b))
+    return records
+
+
+def decode_records(data: bytes) -> List[Record]:
+    """Parse a bare record stream: 9 bytes per record, no framing."""
+    if len(data) % RECORD.size:
+        raise WireError("record stream is not a whole number of records")
+    return _records(_reader(data), len(data) // RECORD.size)
 
 
 # -- shard handoff framing --------------------------------------------------

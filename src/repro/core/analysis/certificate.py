@@ -29,13 +29,13 @@ authenticates.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codec import Reader, Writer, atomic_write
+from repro.crypto.mac import check, sign
 from repro.core.analysis.bounds import UNBOUNDED
 
 MAGIC = b"BNDS1"
@@ -95,7 +95,7 @@ def pack_certificate(cert: BoundsCertificate) -> bytes:
 def sign_certificate(cert: BoundsCertificate, key: bytes) -> bytes:
     """Canonical payload + MAC: the on-disk/wire blob."""
     payload = pack_certificate(cert)
-    mac = hmac.new(key, payload, hashlib.sha256).digest()
+    mac = sign(key, payload)
     return payload + Writer(ValueError).lp(mac, 2).getvalue()
 
 
@@ -139,9 +139,7 @@ def decode_certificate(blob: bytes) -> Tuple[BoundsCertificate, bytes]:
 def verify_certificate(blob: bytes, key: bytes) -> BoundsCertificate:
     """Parse + authenticate; raises ``ValueError`` on any failure."""
     cert, mac = decode_certificate(blob)
-    expected = hmac.new(key, pack_certificate(cert),
-                        hashlib.sha256).digest()
-    if not hmac.compare_digest(mac, expected):
+    if not check(key, mac, pack_certificate(cert)):
         raise ValueError("certificate MAC mismatch")
     return cert
 

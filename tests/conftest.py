@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.asm import assemble, link
@@ -9,6 +11,7 @@ from repro.asm.assembler import assemble_and_link
 from repro.baselines.naive_mtb import NaiveMtbEngine
 from repro.baselines.traces import TracesEngine, rewrite_for_traces
 from repro.cfa.engine import EngineConfig, RapTrackEngine
+from repro.cfa.streaming import StreamError, StreamingVerifier
 from repro.cfa.verifier import NaiveVerifier, Verifier
 from repro.core.classify import classify_module
 from repro.core.pipeline import RapTrackConfig, transform
@@ -22,6 +25,24 @@ from repro.workloads.base import make_mcu
 @pytest.fixture
 def keystore():
     return KeyStore.provision()
+
+
+def chain_authenticates(result, key: bytes) -> bool:
+    """Whether a report chain passes the stream authenticator: every
+    MAC under ``key``, the first report's challenge and ``H_MEM`` on
+    every report, sequence numbers from 0, and a final report last."""
+    first = result.reports[0] if result.reports else None
+    stream = StreamingVerifier(
+        SimpleNamespace(key=key,
+                        expected_h_mem=first.h_mem if first else b""),
+        first.challenge if first else b"")
+    try:
+        for report in result.reports:
+            stream.feed(report)
+        stream.close()
+    except StreamError:
+        return False
+    return True
 
 
 def run_source(source: str, max_instructions: int = 1_000_000) -> MCU:

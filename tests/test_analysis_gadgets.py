@@ -147,6 +147,25 @@ class TestFleetRejection:
         assert settled[0].reason.startswith("bounds:")
         assert settled[0].device_id == "prv-evil"
 
+    def test_forged_flood_fails_authentication_before_the_screen(self):
+        # the screen reads only authenticated streams: a flood signed
+        # under the wrong key is rejected for its MAC, never screened
+        registry = BoundsRegistry()
+        registry.add(certify_workload("vulnerable", "naive-mtb"))
+        service = FleetService(workers=0, bounds=registry)
+        image, bound = prepare(load_workload("vulnerable"), "naive-mtb")
+        flood = synthesize_return_flood(image, bound, "naive-mtb", hops=8)
+        challenge = service.open_session(
+            "prv-evil", DeviceProfile("vulnerable", "naive-mtb"),
+            device_key("prv-evil"), 0.0)
+        for report in chain_reports(flood, "prv-evil", challenge.nonce,
+                                    measure_image(image),
+                                    device_key("someone-else")):
+            service.submit("prv-evil", report)
+        metrics = service.close()
+        assert service.verdicts["prv-evil"].reason == "bad MAC on report #0"
+        assert metrics.sessions_bounds_rejected == 0
+
     @pytest.mark.parametrize("with_bounds", [False, True],
                              ids=["analyzer-off", "analyzer-on"])
     def test_rop_chain_rejected_either_way(self, builds, with_bounds):

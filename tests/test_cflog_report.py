@@ -5,6 +5,7 @@ import pytest
 from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
 from repro.cfa.report import AttestationResult, Report
 from repro.tz.keystore import KeyStore
+from conftest import chain_authenticates
 
 
 class TestRecords:
@@ -96,7 +97,7 @@ class TestAttestationResult:
 
     def test_chain_verifies(self):
         key = KeyStore.provision().attestation_key
-        assert self._chain(key).verify_chain(key)
+        assert chain_authenticates(self._chain(key), key)
 
     def test_merged_cflog_order(self):
         key = KeyStore.provision().attestation_key
@@ -106,24 +107,24 @@ class TestAttestationResult:
 
     def test_empty_chain_fails(self):
         key = KeyStore.provision().attestation_key
-        assert not AttestationResult(reports=[]).verify_chain(key)
+        assert not chain_authenticates(AttestationResult(reports=[]), key)
 
     def test_gap_in_sequence_fails(self):
         key = KeyStore.provision().attestation_key
         result = self._chain(key)
         del result.reports[1]
-        assert not result.verify_chain(key)
+        assert not chain_authenticates(result, key)
 
     def test_nonfinal_tail_fails(self):
         key = KeyStore.provision().attestation_key
         result = self._chain(key)
         result.reports[-1].final = False
         result.reports[-1].sign(key)
-        assert not result.verify_chain(key)
+        assert not chain_authenticates(result, key)
 
     def test_mixed_challenge_fails(self):
         key = KeyStore.provision().attestation_key
         result = self._chain(key)
         result.reports[1].challenge = b"other"
         result.reports[1].sign(key)
-        assert not result.verify_chain(key)
+        assert not chain_authenticates(result, key)

@@ -27,6 +27,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, List, Tuple
 
 import pytest
@@ -52,8 +53,10 @@ from repro.cfa.policy.registry import (
 )
 from repro.cfa.report import AttestationResult, Report
 from repro.cfa.speccfa import SpecRecord, pack_dictionary, unpack_dictionary
+from repro.cfa.streaming import StreamError, StreamingVerifier
 from repro.cfa import wire
 from repro.cfa.wire import WireError
+from repro.crypto.mac import fold
 from repro.core.analysis.certificate import (
     BoundsCertificate,
     bounds_key,
@@ -333,6 +336,50 @@ def test_pinned_inputs_round_trip():
     chain = wire.decode_result(_golden("rapt-chain"))
     assert isinstance(chain, AttestationResult)
     assert all(r.verify(device_key(DEVICE)) for r in chain.reports)
+
+
+def _golden_frames() -> List[bytes]:
+    blob, frames = _golden("rapt-chain"), []
+    while blob:
+        _, used = wire.decode_report(blob)
+        frames.append(blob[:used])
+        blob = blob[used:]
+    return frames
+
+
+def _authenticate(frames: List[bytes]) -> None:
+    stream = StreamingVerifier(
+        SimpleNamespace(key=device_key(DEVICE), expected_h_mem=H_MEM), NONCE)
+    for frame in frames:
+        stream.feed_bytes(frame)
+    stream.close()
+
+
+def test_rapt_mac_input_is_spliced_from_the_received_body():
+    for frame in _golden_frames():
+        report, _ = wire.decode_report(frame)
+        assert wire.mac_input(frame) == fold(report._fields())
+    _authenticate(_golden_frames())  # the golden chain authenticates
+
+
+def test_rapt_every_flipped_body_byte_is_rejected():
+    frames = _golden_frames()
+    _authenticate(frames)  # intact: accepted
+    for k, frame in enumerate(frames):
+        for where in range(9, len(frame)):  # past magic, version, length
+            for mask in (0x01, 0x80, 0xFF):
+                damaged = bytearray(frame)
+                damaged[where] ^= mask
+                try:
+                    _authenticate(frames[:k] + [bytes(damaged)]
+                                  + frames[k + 1:])
+                except WireError:
+                    continue
+                except StreamError as exc:
+                    assert str(exc).startswith("bad MAC on report #"), exc
+                    continue
+                pytest.fail(f"report #{k}: byte {where} ^ {mask:#x} "
+                            f"was accepted")
 
 
 if __name__ == "__main__":

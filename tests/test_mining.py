@@ -23,14 +23,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cfa.cflog import AddressRecord, BranchRecord, LoopRecord
+from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
 from repro.cfa.fleet import (
     DeviceProfile,
     TrafficSampler,
     mine_fleet_dictionary,
     mining_gain,
 )
-from repro.cfa.fleet.mining import _stream_digest
+from repro.cfa.fleet.verify import records_digest
 from repro.cfa.speccfa import (
     EMPTY_DICTIONARY_DIGEST,
     SpecRecord,
@@ -42,6 +42,10 @@ from repro.cfa.speccfa import (
 )
 
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+
+def _stream_digest(records):
+    return records_digest(CFLog(records).pack())
 
 #: expanded (plain) record streams — what the sampler feeds the miner
 base_records = st.lists(

@@ -29,7 +29,9 @@ from repro.cfa.fleet import (
     learn_dictionaries,
     mine_fleet_dictionary,
 )
-from repro.cfa.speccfa import mine_subpaths
+from repro.cfa.cflog import AddressRecord, BranchRecord, LoopRecord
+from repro.cfa.speccfa import SpecRecord, mine_subpaths
+from repro.cfa.wire import decode_report
 
 SEED = 5
 
@@ -198,3 +200,36 @@ def test_shard_count_invariant_with_mid_stream_push(factory, tmp_path):
     two = mid_stream_rounds(factory, 2, tmp_path / "two")
     assert one[0] == two[0]  # byte-identical verdicts
     assert one[1] == two[1]  # byte-identical evidence chain heads
+
+
+def test_service_path_packs_no_record(factory, dictionaries, monkeypatch):
+    """Ingest, authentication, expansion, the digest, the replay cache
+    and the sampler all work from the received bytes: a compressed
+    session settles, with the plain session's records digest, while
+    no record can be re-encoded."""
+    spec = SPECS[0]
+    with ShardedFleetService(shards=1, sampler=True) as service:
+        service.publish_dictionary(
+            spec.profile, dictionaries["adaptive"][spec.profile])
+        simulator = FleetSimulator([spec], seed=SEED, factory=factory)
+        assert simulator.run(service).ok  # a plain round, then the ACK
+        plain = service.verdicts[spec.device_id]
+        assert simulator.handshake(service) == 1
+        challenge = service.open_session(
+            spec.device_id, spec.profile, device_key(spec.device_id))
+        chain = factory.chain(spec, challenge.nonce,
+                              simulator.device_epochs[spec.device_id])
+        assert any(isinstance(r, SpecRecord) for chunk in chain
+                   for r in decode_report(chunk)[0].cflog.records)
+
+        def forbidden(record):
+            raise AssertionError(f"re-encoded {record!r}")
+
+        for cls in (BranchRecord, AddressRecord, LoopRecord, SpecRecord):
+            monkeypatch.setattr(cls, "pack", forbidden)
+        for chunk in chain:
+            service.submit(spec.device_id, chunk)
+        service.drain()
+        compressed = service.verdicts[spec.device_id]
+    assert compressed.accepted
+    assert compressed.records_digest == plain.records_digest

@@ -5,8 +5,12 @@ import dataclasses
 import pytest
 
 from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
+from repro.cfa.engine import EngineConfig
+from repro.cfa.fleet.verify import DeviceProfile, verify_session_chain
 from repro.cfa.report import AttestationResult
+from repro.cfa.wire import encode_report
 from repro.core.pipeline import RapTrackConfig
+from repro.workloads import load_workload
 from conftest import (
     assert_lossless,
     naive_setup,
@@ -117,6 +121,37 @@ class TestAuthenticationChecks:
         result = engine.attest(b"good-chal")
         del result.reports[0]
         assert not verifier.verify(result, b"good-chal").authenticated
+
+    @pytest.mark.parametrize("damage", [
+        "bad-mac", "wrong-challenge", "reordered", "dropped-partial"])
+    def test_failed_authentication_is_never_replayed(self, keystore,
+                                                     damage):
+        # a workload, so the fleet can rebuild the same verifier from
+        # its profile and judge the same chain bytes
+        _, _, _, engine, verifier, _ = rap_setup(
+            load_workload("fibcall"), keystore=keystore,
+            engine_config=EngineConfig(watermark=256))
+        result = engine.attest(b"good-chal")
+        assert len(result.reports) >= 3
+        challenge = b"good-chal"
+        if damage == "bad-mac":
+            mac = result.reports[1].mac
+            result.reports[1].mac = mac[:-1] + bytes([mac[-1] ^ 1])
+        elif damage == "wrong-challenge":
+            challenge = b"other-chal"
+        elif damage == "reordered":
+            result.reports[1], result.reports[2] = (result.reports[2],
+                                                    result.reports[1])
+        else:
+            del result.reports[1]
+        outcome = verifier.verify(result, challenge)
+        verdict = verify_session_chain(
+            "prv-0", DeviceProfile("fibcall"), keystore.attestation_key,
+            challenge, [encode_report(r) for r in result.reports])
+        assert not outcome.authenticated and not outcome.ok
+        assert outcome.path == [] and outcome.consumed == 0
+        assert not verdict.accepted and verdict.reason
+        assert outcome.error == verdict.reason
 
 
 def _tiny_watermark():

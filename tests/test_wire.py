@@ -1,5 +1,7 @@
 """Wire-format tests: roundtrip, tamper handling, fuzz robustness."""
 
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,18 @@ from hypothesis import given, settings
 from repro.cfa.cflog import AddressRecord, BranchRecord, CFLog, LoopRecord
 from repro.cfa.report import Report
 from repro.cfa.speccfa import SpecRecord
+from repro.cfa.streaming import StreamError, StreamingVerifier
 from repro.cfa.verifier import Verifier
+from repro.crypto.mac import fold
 from repro.cfa.wire import (
     WireError,
     decode_report,
     decode_result,
     encode_report,
     encode_result,
+    mac_input,
 )
-from conftest import rap_setup
+from conftest import chain_authenticates, rap_setup
 
 
 def sample_report(key, records=None, seq=0, final=True):
@@ -55,7 +60,7 @@ class TestRoundtrip:
         ])
         decoded = decode_result(encode_result(chain))
         assert len(decoded.reports) == 2
-        assert decoded.verify_chain(key)
+        assert chain_authenticates(decoded, key)
 
     def test_end_to_end_over_the_wire(self, keystore):
         image, bound, _, engine, verifier, _ = rap_setup("""
@@ -105,6 +110,67 @@ class TestTampering:
     def test_empty_chain(self):
         with pytest.raises(WireError):
             decode_result(b"")
+
+
+u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+signed_reports = st.builds(
+    Report,
+    device_id=st.binary(max_size=16),
+    method=st.text(max_size=12),
+    challenge=st.binary(max_size=24),
+    h_mem=st.binary(max_size=32),
+    seq=u32,
+    final=st.booleans(),
+    cflog=st.builds(CFLog, st.lists(st.one_of(
+        st.builds(BranchRecord, u32, u32),
+        st.builds(AddressRecord, u32, u32),
+        st.builds(LoopRecord, u32, u32),
+        st.builds(SpecRecord, u32, u32)), max_size=16)),
+)
+
+#: the magic, version byte and u32 body length ahead of a report body
+BODY_START = 9
+KEY = b"k" * 32
+
+
+def authenticate_one(report, data):
+    """Feed one encoded report to the stream authenticator, keyed to
+    accept exactly ``report``'s challenge, H_MEM and sequence number."""
+    stream = StreamingVerifier(
+        SimpleNamespace(key=KEY, expected_h_mem=report.h_mem),
+        report.challenge)
+    stream.partials_accepted = report.seq
+    stream.feed_bytes(data)
+
+
+class TestMacCoversReceivedBytes:
+    """The MAC input is spliced from the received body, and it is the
+    field fold a signer MACs: every body byte is covered."""
+
+    @given(signed_reports)
+    @settings(deadline=None, max_examples=150)
+    def test_spliced_input_is_the_signed_fold(self, report):
+        report.sign(KEY)
+        decoded, _ = decode_report(encode_report(report))
+        assert mac_input(decoded.received) == fold(report._fields())
+        authenticate_one(report, encode_report(report))  # accepted
+
+    @given(signed_reports, st.integers(min_value=0), st.integers(1, 255))
+    @settings(deadline=None, max_examples=300)
+    def test_any_flipped_body_byte_is_rejected(self, report, where, mask):
+        report.sign(KEY)
+        authenticate_one(report, encode_report(report))  # intact: accepted
+        data = bytearray(encode_report(report))
+        data[BODY_START + where % (len(data) - BODY_START)] ^= mask
+        try:
+            authenticate_one(report, bytes(data))
+        except WireError:
+            return
+        except StreamError as exc:
+            assert str(exc).startswith("bad MAC on report #"), exc
+            return
+        pytest.fail("a report with a flipped body byte was accepted")
 
 
 class TestFuzz:
